@@ -49,8 +49,9 @@ from .monitors import (
 )
 from .operators import (
     SingularEvaluation,
+    StepJacobian,
     StepProblem,
-    jacobian_diagonal,
+    linearize,
     p_laplacian_residual,
     scaled_residual_norm,
     step_energy,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import StructuredMesh, triangle_gradients
-from .physics import neg_part, signed_power
+from .physics import flux_weight, neg_part, signed_power
 from .timestep import MarchError, SolverConfig, TimeGrid, Trajectory, average_forcing, run
 
 __all__ = [
@@ -189,7 +189,6 @@ def vi_residual(traj: Trajectory, test_family) -> float:
     mesh = traj.mesh
     params = traj.params
     alpha = params.alpha
-    p = params.p
     ell = traj.time_grid.ell
     m = mesh.lumped_mass
     alpha_conj = alpha / (alpha - 1.0)
@@ -204,11 +203,11 @@ def vi_residual(traj: Trajectory, test_family) -> float:
         samples.append(vv)
 
     phi_states = [signed_power(u, alpha - 1.0) for u in traj.states]
-    grads = [triangle_gradients(mesh, u) for u in traj.states]
     fluxes = []
-    for g in grads[1:]:
+    for u in traj.states[1:]:
+        g = triangle_gradients(mesh, u)
         q = np.einsum("td,td->t", g, g) + traj.delta**2
-        fluxes.append((mesh.areas * params.mu * q ** (0.5 * (p - 2.0)))[:, None] * g)
+        fluxes.append(flux_weight(q, mesh.areas * params.mu, params.p)[:, None] * g)
     a_bars = [
         average_forcing(params.forcing, n, traj.time_grid, mesh) for n in range(traj.N)
     ]

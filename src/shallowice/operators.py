@@ -12,6 +12,10 @@ wherever it dips below the obstacle.  The residual is exactly the gradient
 of the strictly convex step energy, so the step solution is its unique
 minimizer.  Time, penalty, and forcing terms use the lumped nodal masses
 m_i, which keeps the pointwise nonlinearities decoupled across nodes.
+
+The Jacobian is linearized once per Newton iterate: linearize computes every
+coefficient that depends on the state, and step_jacobian_action applies the
+result matrix-free, doing only the work that depends on the direction.
 """
 
 from __future__ import annotations
@@ -27,16 +31,18 @@ from .mesh import (
     scatter_vertex_sums,
     triangle_gradients,
 )
-from .physics import PhysicalParams, dphi_power_reg, phi_power_reg, signed_power
+from .physics import PhysicalParams, dphi_power_reg, flux_weight, phi_power_reg, signed_power
 
 __all__ = [
+    "SolverError",
     "SingularEvaluation",
     "StepProblem",
+    "StepJacobian",
     "p_laplacian_residual",
     "step_energy",
     "step_residual",
+    "linearize",
     "step_jacobian_action",
-    "jacobian_diagonal",
     "scaled_residual_norm",
 ]
 
@@ -45,7 +51,11 @@ __all__ = [
 SINGULAR_STATE = 1e-14
 
 
-class SingularEvaluation(RuntimeError):
+class SolverError(RuntimeError):
+    """Base class for step-solver failures."""
+
+
+class SingularEvaluation(SolverError):
     """Jacobian requested where the unregularized power slope blows up."""
 
 
@@ -82,12 +92,6 @@ class StepProblem:
         self.a_bar = require_nodal(self.mesh, self.a_bar, "a_bar")
 
 
-def _grad_weight(problem: StepProblem, q: np.ndarray) -> np.ndarray:
-    """Per-triangle weight area * mu * q^((p-2)/2) with q = |grad u|^2 + delta^2."""
-    p = problem.params.p
-    return problem.mesh.areas * problem.params.mu * q ** (0.5 * (p - 2.0))
-
-
 def p_laplacian_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
     """Stiffness action S_i(u) = sum_T |T| mu_T q^((p-2)/2) grad u . grad hat_i.
 
@@ -97,7 +101,7 @@ def p_laplacian_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
     u = require_constrained(mesh, u, "u")
     g = triangle_gradients(mesh, u)
     q = np.einsum("td,td->t", g, g) + problem.delta**2
-    flux = _grad_weight(problem, q)[:, None] * g
+    flux = flux_weight(q, mesh.areas * problem.params.mu, problem.params.p)[:, None] * g
     S = scatter_vertex_sums(mesh, np.einsum("td,tld->tl", flux, mesh.grad_basis))
     S[mesh.boundary_mask] = 0.0
     return S
@@ -153,84 +157,76 @@ def step_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
     return F
 
 
-def _check_jacobian_state(problem: StepProblem, u: np.ndarray) -> None:
+@dataclass(frozen=True)
+class StepJacobian:
+    """Step Jacobian at one state, linearized once for repeated application.
+
+    slope   nodal slope of the time and penalty terms
+    g       triangle gradients of the state
+    weight  per-triangle |T| mu q^((p-2)/2)
+    coef    per-triangle (p-2) weight / q = (p-2) |T| mu q^((p-4)/2)
+    diag    Jacobi diagonal of the whole Jacobian, 1 on boundary rows
+    """
+
+    mesh: StructuredMesh
+    slope: np.ndarray
+    g: np.ndarray
+    weight: np.ndarray
+    coef: np.ndarray
+    diag: np.ndarray
+
+
+def linearize(problem: StepProblem, u: np.ndarray) -> StepJacobian:
+    """Linearize step_residual at u.
+
+    The Jacobian is symmetric positive semidefinite as a bilinear form
+    (definite for eps > 0).  The generalized slope of min(u, 0) is 1/kappa
+    where u < 0 and 0 at u = 0 (active-set convention).  Raises
+    SingularEvaluation where eps = 0 and an interior |u| is numerically 0.
+    """
+    mesh = problem.mesh
+    params = problem.params
+    u = require_constrained(mesh, u, "u")
     if problem.eps == 0.0:
-        small = np.abs(u[problem.mesh.interior_mask]) < SINGULAR_STATE
+        small = np.abs(u[mesh.interior_mask]) < SINGULAR_STATE
         if np.any(small):
-            idx = np.flatnonzero(problem.mesh.interior_mask)[np.argmax(small)]
+            idx = np.flatnonzero(mesh.interior_mask)[np.argmax(small)]
             raise SingularEvaluation(
                 f"eps = 0 and |u| < {SINGULAR_STATE} at node {idx}; "
                 "the power slope is unbounded there"
             )
 
-
-def step_jacobian_action(problem: StepProblem, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Directional derivative of step_residual at u applied to w.
-
-    Symmetric positive semidefinite as a bilinear form (definite for
-    eps > 0).  The generalized slope of min(u, 0) is 1/kappa where u < 0
-    and 0 at u = 0 (active-set convention).  Boundary rows of the result
-    are zero and boundary entries of w are ignored.
-    """
-    mesh = problem.mesh
-    params = problem.params
-    u = require_constrained(mesh, u, "u")
-    w = require_nodal(mesh, w, "w")
-    _check_jacobian_state(problem, u)
-    if np.any(w[mesh.boundary_mask] != 0.0):
-        w = w.copy()
-        w[mesh.boundary_mask] = 0.0
-
     m = mesh.lumped_mass
-    out = m * dphi_power_reg(u, params.alpha, problem.eps) * w / problem.ell
-    out += (m / problem.kappa) * (u < 0.0) * w
+    slope = m * dphi_power_reg(u, params.alpha, problem.eps) / problem.ell
+    slope = slope + (m / problem.kappa) * (u < 0.0)
 
     g = triangle_gradients(mesh, u)
-    h = triangle_gradients(mesh, w)
     q = np.einsum("td,td->t", g, g) + problem.delta**2
-    flux = _grad_weight(problem, q)[:, None] * h
-    p = params.p
-    if p != 2.0:
-        gh = np.einsum("td,td->t", g, h)
-        coef = np.zeros(mesh.n_triangles)
-        pos = q > 0.0
-        coef[pos] = (
-            mesh.areas[pos] * params.mu[pos] * (p - 2.0)
-            * q[pos] ** (0.5 * (p - 4.0)) * gh[pos]
-        )
-        flux = flux + coef[:, None] * g
-    out += scatter_vertex_sums(mesh, np.einsum("td,tld->tl", flux, mesh.grad_basis))
+    weight = flux_weight(q, mesh.areas * params.mu, params.p)
+    # (p-2) weight / q, written as the weight law at exponent p - 2
+    coef = flux_weight(q, mesh.areas * params.mu * (params.p - 2.0), params.p - 2.0)
+
+    gb = np.einsum("td,tld->tl", g, mesh.grad_basis)
+    bb = np.einsum("tld,tld->tl", mesh.grad_basis, mesh.grad_basis)
+    diag = slope + scatter_vertex_sums(mesh, weight[:, None] * bb + coef[:, None] * gb**2)
+    diag[mesh.boundary_mask] = 1.0
+    return StepJacobian(mesh=mesh, slope=slope, g=g, weight=weight, coef=coef, diag=diag)
+
+
+def step_jacobian_action(jac: StepJacobian, w: np.ndarray) -> np.ndarray:
+    """Jacobian of step_residual, as linearized in jac, applied to w.
+
+    Boundary rows of the result are zero and boundary entries of w are
+    ignored.
+    """
+    mesh = jac.mesh
+    w = np.where(mesh.boundary_mask, 0.0, require_nodal(mesh, w, "w"))
+    h = triangle_gradients(mesh, w)
+    gh = np.einsum("td,td->t", jac.g, h)
+    flux = jac.weight[:, None] * h + (jac.coef * gh)[:, None] * jac.g
+    out = jac.slope * w + scatter_vertex_sums(mesh, np.einsum("td,tld->tl", flux, mesh.grad_basis))
     out[mesh.boundary_mask] = 0.0
     return out
-
-
-def jacobian_diagonal(problem: StepProblem, u: np.ndarray) -> np.ndarray:
-    """Diagonal of the step Jacobian; boundary entries are set to 1."""
-    mesh = problem.mesh
-    params = problem.params
-    u = require_constrained(mesh, u, "u")
-    _check_jacobian_state(problem, u)
-
-    m = mesh.lumped_mass
-    d = m * dphi_power_reg(u, params.alpha, problem.eps) / problem.ell
-    d = d + (m / problem.kappa) * (u < 0.0)
-
-    g = triangle_gradients(mesh, u)
-    q = np.einsum("td,td->t", g, g) + problem.delta**2
-    base = _grad_weight(problem, q)
-    gb = np.einsum("td,tld->tl", g, mesh.grad_basis)
-    per_vertex = base[:, None] * np.einsum("tld,tld->tl", mesh.grad_basis, mesh.grad_basis)
-    p = params.p
-    if p != 2.0:
-        coef = np.zeros(mesh.n_triangles)
-        pos = q > 0.0
-        coef[pos] = (
-            mesh.areas[pos] * params.mu[pos] * (p - 2.0) * q[pos] ** (0.5 * (p - 4.0))
-        )
-        per_vertex = per_vertex + coef[:, None] * gb**2
-    d += scatter_vertex_sums(mesh, per_vertex)
-    d[mesh.boundary_mask] = 1.0
-    return d
 
 
 def scaled_residual_norm(problem: StepProblem, F: np.ndarray) -> float:

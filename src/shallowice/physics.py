@@ -26,6 +26,7 @@ __all__ = [
     "phi_power",
     "phi_power_reg",
     "dphi_power_reg",
+    "flux_weight",
     "diagnostic_flux",
     "PhysicalParams",
     "make_params",
@@ -134,23 +135,27 @@ def dphi_power_reg(u, alpha: float, eps: float):
     return float(out) if out.ndim == 0 else out
 
 
-def diagnostic_flux(mesh: StructuredMesh, u: np.ndarray, params: "PhysicalParams") -> np.ndarray:
-    """Per-triangle volume flux Q = -mu |grad u|^(p-2) grad u (flat bed, no sliding).
+def flux_weight(q: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
+    """Per-triangle p-Laplacian weight mu q^((p-2)/2), q = |grad u|^2 (+ delta^2).
 
-    The flux itself vanishes with the gradient for every p > 1, so flat
-    triangles contribute Q = 0 even where the coefficient alone diverges.
+    mu may carry the triangle areas.  Where q = 0 and p < 2 the weight is
+    set to 0, so the flux weight * grad u is 0 on flat triangles for every
+    p > 1 even where the coefficient alone diverges.
     """
+    expo = 0.5 * (p - 2.0)
+    if expo >= 0.0:
+        return mu * q**expo
+    w = np.zeros_like(q)
+    pos = q > 0.0
+    w[pos] = mu[pos] * q[pos] ** expo
+    return w
+
+
+def diagnostic_flux(mesh: StructuredMesh, u: np.ndarray, params: "PhysicalParams") -> np.ndarray:
+    """Per-triangle volume flux Q = -mu |grad u|^(p-2) grad u (flat bed, no sliding)."""
     u = require_nodal(mesh, u, "u")
     g = triangle_gradients(mesh, u)
-    s = np.einsum("td,td->t", g, g)
-    expo = 0.5 * (params.p - 2.0)
-    if expo >= 0.0:
-        w = params.mu * s**expo
-    else:
-        w = np.zeros_like(s)
-        pos = s > 0.0
-        w[pos] = params.mu[pos] * s[pos] ** expo
-    return -w[:, None] * g
+    return -flux_weight(np.einsum("td,td->t", g, g), params.mu, params.p)[:, None] * g
 
 
 @dataclass

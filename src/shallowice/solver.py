@@ -2,11 +2,12 @@
 
 The step problem is the minimization of a strictly convex energy, so a
 descent method with line search converges from any starting point.  The
-solver runs Newton directions obtained from a matrix-free preconditioned
-conjugate-gradient solve on the Jacobian action, backtracks with an Armijo
-test measured on the step energy, and falls back to a diagonally
-preconditioned gradient step whenever the inner solve reports trouble or
-the Newton direction fails to descend.
+solver linearizes the residual once per Newton iterate, obtains the Newton
+direction from a matrix-free Jacobi-preconditioned conjugate-gradient solve
+on that linearization, backtracks with an Armijo test measured on the step
+energy, and falls back to a diagonally preconditioned gradient step
+whenever the inner solve reports trouble or the Newton direction fails to
+descend.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    SingularEvaluation,
+    SolverError,
     StepProblem,
-    jacobian_diagonal,
+    linearize,
     scaled_residual_norm,
     step_energy,
     step_jacobian_action,
@@ -36,10 +37,6 @@ __all__ = [
     "inner_linear_solve",
     "solve_step",
 ]
-
-
-class SolverError(RuntimeError):
-    """Base class for step-solver failures."""
 
 
 class NonConvergence(SolverError):
@@ -96,7 +93,6 @@ class StepResult:
     final_residual: float
     final_energy: float
     backtracks: int
-    converged: bool
 
 
 def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
@@ -104,8 +100,8 @@ def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
     """Matrix-free conjugate gradients with diagonal preconditioning.
 
     Returns w with ||A w - rhs|| <= cg_tol ||rhs|| when it converges within
-    cg_max iterations, else the best iterate so far (inexact directions are
-    still useful to the outer Newton loop).  Raises IndefiniteDetected on
+    cg_max iterations, else the last iterate (inexact directions are still
+    useful to the outer Newton loop).  Raises IndefiniteDetected on
     nonpositive curvature.
     """
     x = np.zeros_like(rhs)
@@ -189,7 +185,8 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
     backtracks = 0
     stalled = False
 
-    while res > cfg.tol_residual:
+    # a NaN residual fails every comparison, so it must enter the loop
+    while not res <= cfg.tol_residual:
         if not np.isfinite(res):
             raise NumericalBreakdown(
                 "non-finite residual", node=_first_bad_node(F, u)
@@ -201,16 +198,16 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
                 residual_history=history,
             )
 
-        diag = jacobian_diagonal(problem, u)
+        jac = linearize(problem, u)
         rhs = -F
 
         def newton_direction():
             try:
                 return inner_linear_solve(
-                    lambda w: step_jacobian_action(problem, u, w),
-                    rhs, diag, cfg.cg_tol, cfg.cg_max,
+                    lambda w: step_jacobian_action(jac, w),
+                    rhs, jac.diag, cfg.cg_tol, cfg.cg_max,
                 )
-            except (IndefiniteDetected, SingularEvaluation):
+            except IndefiniteDetected:
                 return None
 
         # The energy decrement of the final iterations sinks below the
@@ -262,7 +259,7 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
             if newton is not None:
                 accepted = line_search(newton)
         if accepted is None:
-            accepted = line_search(rhs / diag)
+            accepted = line_search(rhs / jac.diag)
         if accepted is None:
             accepted = separable_jump()
         if accepted is None:
@@ -286,5 +283,4 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
         final_residual=res,
         final_energy=energy,
         backtracks=backtracks,
-        converged=True,
     )

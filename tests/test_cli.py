@@ -74,6 +74,18 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert "failed at step" in capsys.readouterr().err
 
 
+def test_singular_jacobian_exit_code(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "eps0.json", tmp_path / "out",
+        domain={"Lx": 1.0, "Ly": 1.0, "nx": 9, "ny": 9},
+        time={"T": 2.0, "N": 20},
+        penalty={"kappa": 1e-3, "eps": 0.0},
+        forcing={"preset": "melt", "rate": -2.0},
+    )
+    assert cli(["run", str(cfg)]) == 1
+    assert "failed at step 0" in capsys.readouterr().err
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "sweep.json", tmp_path / "sweep_out",

@@ -6,7 +6,7 @@ import pytest
 from shallowice import (
     SingularEvaluation,
     StepProblem,
-    jacobian_diagonal,
+    linearize,
     p_laplacian_residual,
     phi_power,
     scaled_residual_norm,
@@ -96,7 +96,7 @@ def test_residual_penalty_restores_upward(mesh3):
     penalty_part = (m / prob.kappa) * min(u[4], 0.0)
     assert penalty_part < 0
     assert F[4] < 0  # -F points upward, driving u_4 >= 0
-    diag = jacobian_diagonal(prob, u)
+    diag = linearize(prob, u).diag
     assert -F[4] / diag[4] > 0
 
 
@@ -152,7 +152,7 @@ def test_jacobian_matches_fd_of_residual(mesh5):
         w = random_state(mesh5, rng)
         h = 1e-6
         fd = (step_residual(prob, u + h * w) - step_residual(prob, u - h * w)) / (2 * h)
-        Jw = step_jacobian_action(prob, u, w)
+        Jw = step_jacobian_action(linearize(prob, u), w)
         free = prob.mesh.interior_mask
         scale = max(np.max(np.abs(fd[free])), 1.0)
         assert np.max(np.abs(Jw[free] - fd[free])) / scale < 1e-5
@@ -161,14 +161,14 @@ def test_jacobian_matches_fd_of_residual(mesh5):
 def test_jacobian_symmetric_positive(mesh5):
     rng = np.random.default_rng(13)
     prob = make_problem(mesh5, seed=5)
-    u = random_state(mesh5, rng, lo=0.2)
+    jac = linearize(prob, random_state(mesh5, rng, lo=0.2))
     for _ in range(10):
         w1 = random_state(mesh5, rng)
         w2 = random_state(mesh5, rng)
-        a12 = float(w1 @ step_jacobian_action(prob, u, w2))
-        a21 = float(w2 @ step_jacobian_action(prob, u, w1))
+        a12 = float(w1 @ step_jacobian_action(jac, w2))
+        a21 = float(w2 @ step_jacobian_action(jac, w1))
         assert a12 == pytest.approx(a21, rel=1e-10, abs=1e-12)
-        quad = float(w1 @ step_jacobian_action(prob, u, w1))
+        quad = float(w1 @ step_jacobian_action(jac, w1))
         assert quad > 0.0
 
 
@@ -183,7 +183,7 @@ def test_jacobian_p2_state_independent(mesh3):
 
     diag_t = mesh3.lumped_mass * dphi_power_reg(u, prob.params.alpha, prob.eps) / prob.ell
     diag_t += mesh3.lumped_mass / prob.kappa * (u < 0)
-    Jw = step_jacobian_action(prob, u, w) - diag_t * w
+    Jw = step_jacobian_action(linearize(prob, u), w) - diag_t * w
     Jw[mesh3.boundary_mask] = 0.0
     expected = K @ w
     expected[mesh3.boundary_mask] = 0.0
@@ -193,19 +193,28 @@ def test_jacobian_p2_state_independent(mesh3):
 def test_jacobian_singular_flag(mesh3):
     prob = make_problem(mesh3, eps=0.0, seed=7)
     u = np.zeros(mesh3.n_nodes)  # interior value below the singular floor
-    w = zero_boundary(mesh3, np.ones(mesh3.n_nodes))
     with pytest.raises(SingularEvaluation):
-        step_jacobian_action(prob, u, w)
-    with pytest.raises(SingularEvaluation):
-        jacobian_diagonal(prob, u)
+        linearize(prob, u)
 
 
 def test_jacobian_zero_direction(mesh5):
     prob = make_problem(mesh5, seed=8)
     rng = np.random.default_rng(15)
-    u = random_state(mesh5, rng, lo=0.2)
-    out = step_jacobian_action(prob, u, np.zeros(mesh5.n_nodes))
+    jac = linearize(prob, random_state(mesh5, rng, lo=0.2))
+    out = step_jacobian_action(jac, np.zeros(mesh5.n_nodes))
     assert np.array_equal(out, np.zeros(mesh5.n_nodes))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+def test_jacobian_diagonal_matches_action(mesh5, p):
+    prob = make_problem(mesh5, p=p, seed=10)
+    rng = np.random.default_rng(17)
+    jac = linearize(prob, random_state(mesh5, rng, lo=0.2))
+    assert np.all(jac.diag[mesh5.boundary_mask] == 1.0)
+    for i in np.flatnonzero(mesh5.interior_mask):
+        e = np.zeros(mesh5.n_nodes)
+        e[i] = 1.0
+        assert jac.diag[i] == pytest.approx(step_jacobian_action(jac, e)[i], rel=1e-13)
 
 
 def test_operator_monotone(mesh5):

@@ -4,9 +4,10 @@ import pytest
 from shallowice import (
     IndefiniteDetected,
     NonConvergence,
+    NumericalBreakdown,
     SolverConfig,
     inner_linear_solve,
-    jacobian_diagonal,
+    linearize,
     scaled_residual_norm,
     solve_step,
     step_energy,
@@ -60,7 +61,6 @@ def test_zero_problem_zero_iterations(mesh5):
     n = mesh5.n_nodes
     prob = make_problem(mesh5, u_prev=np.zeros(n), a_bar=np.zeros(n))
     result = solve_step(prob, initial_guess=np.zeros(n))
-    assert result.converged
     assert result.iterations == 0
     assert np.array_equal(result.u_next, np.zeros(n))
     assert result.final_residual == 0.0
@@ -131,19 +131,18 @@ def test_solution_boundary_zero_and_finite(mesh5):
 def test_inner_solve_zero_rhs(mesh5):
     prob = make_problem(mesh5, seed=26)
     rng = np.random.default_rng(27)
-    u = random_state(mesh5, rng, lo=0.3)
-    diag = jacobian_diagonal(prob, u)
-    out = inner_linear_solve(lambda w: step_jacobian_action(prob, u, w),
-                             np.zeros(mesh5.n_nodes), diag, 1e-8, 100)
+    jac = linearize(prob, random_state(mesh5, rng, lo=0.3))
+    out = inner_linear_solve(lambda w: step_jacobian_action(jac, w),
+                             np.zeros(mesh5.n_nodes), jac.diag, 1e-8, 100)
     assert np.array_equal(out, np.zeros(mesh5.n_nodes))
 
 
 def test_inner_solve_matches_dense_factorization(mesh3):
     prob = make_problem(mesh3, p=2.0, delta=0.0, seed=28)
     rng = np.random.default_rng(29)
-    u = random_state(mesh3, rng, lo=0.3)
+    jac = linearize(prob, random_state(mesh3, rng, lo=0.3))
     n = mesh3.n_nodes
-    action = lambda w: step_jacobian_action(prob, u, w)
+    action = lambda w: step_jacobian_action(jac, w)
     J = np.zeros((n, n))
     for j in range(n):
         e = np.zeros(n)
@@ -154,7 +153,7 @@ def test_inner_solve_matches_dense_factorization(mesh3):
     rhs = zero_boundary(mesh3, rng.uniform(-1, 1, n))
     dense = np.zeros(n)
     dense[free] = np.linalg.solve(J[np.ix_(free, free)], rhs[free])
-    got = inner_linear_solve(action, rhs, jacobian_diagonal(prob, u), 1e-14, 500)
+    got = inner_linear_solve(action, rhs, jac.diag, 1e-14, 500)
     assert np.max(np.abs(got - dense)) < 1e-10
 
 
@@ -163,10 +162,10 @@ def test_inner_solve_diagonal_dominant_limit(mesh5):
     # essentially the diagonally preconditioned right-hand side
     prob = make_problem(mesh5, ell=1e-12, seed=30)
     rng = np.random.default_rng(31)
-    u = random_state(mesh5, rng, lo=0.5)
-    diag = jacobian_diagonal(prob, u)
+    jac = linearize(prob, random_state(mesh5, rng, lo=0.5))
+    diag = jac.diag
     rhs = zero_boundary(mesh5, rng.uniform(-1, 1, mesh5.n_nodes))
-    got = inner_linear_solve(lambda w: step_jacobian_action(prob, u, w),
+    got = inner_linear_solve(lambda w: step_jacobian_action(jac, w),
                              rhs, diag, 1e-12, 500)
     assert np.allclose(got[mesh5.interior_mask],
                        (rhs / diag)[mesh5.interior_mask], rtol=1e-6)
@@ -209,3 +208,28 @@ def test_result_residual_matches_recomputation(mesh5):
     result = solve_step(prob)
     res = scaled_residual_norm(prob, step_residual(prob, result.u_next))
     assert res == pytest.approx(result.final_residual, rel=1e-12, abs=1e-15)
+
+
+def test_flat_triangles_below_p2_converge(mesh9):
+    # p < 2 without gradient regularization: the weight diverges on the
+    # flat triangles outside an interior margin, but the flux there is 0
+    c = np.array([0.5, 0.5])
+    u0 = zero_boundary(mesh9, np.maximum(0.0, 0.1 - np.sum((mesh9.nodes - c) ** 2, axis=1)))
+    n = mesh9.n_nodes
+    prob = make_problem(mesh9, p=1.5, delta=0.0, ell=0.2, kappa=1e-3,
+                        u_prev=u0, a_bar=np.zeros(n))
+    assert np.all(np.isfinite(step_residual(prob, u0)))
+    result = solve_step(prob)
+    assert result.iterations > 0
+    assert result.final_residual <= SolverConfig().tol_residual
+    res = scaled_residual_norm(prob, step_residual(prob, result.u_next))
+    assert res <= SolverConfig().tol_residual
+
+
+def test_nonfinite_residual_raises(mesh5):
+    a_bar = np.zeros(mesh5.n_nodes)
+    a_bar[12] = np.nan
+    prob = make_problem(mesh5, a_bar=a_bar, seed=35)
+    with pytest.raises(NumericalBreakdown) as err:
+        solve_step(prob)
+    assert err.value.node == 12

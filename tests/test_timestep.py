@@ -7,6 +7,7 @@ from shallowice import (
     LinearForcing,
     MarchError,
     MeltForcing,
+    SingularEvaluation,
     SolverConfig,
     StepProblem,
     TimeGrid,
@@ -163,6 +164,17 @@ def test_march_error_carries_partial(mesh9):
     assert err.value.step_index == 0
     assert len(err.value.partial.states) == 1
     assert np.array_equal(err.value.partial.states[0], params.u0)
+
+
+def test_singular_jacobian_raises_march_error(mesh9):
+    # eps = 0 leaves the power slope unbounded on bare ground
+    n = mesh9.n_nodes
+    params = make_params(mesh9, 3.0, MeltForcing(-2.0), u0=np.zeros(n), mu=1.0)
+    with pytest.raises(MarchError) as err:
+        run(mesh9, params, TimeGrid(2.0, 20), 1e-3, eps=0.0)
+    assert err.value.step_index == 0
+    assert isinstance(err.value.cause, SingularEvaluation)
+    assert len(err.value.partial.states) == 1
 
 
 def test_run_metadata_contents(mesh5):
