@@ -32,7 +32,6 @@ from .forcing import (
 from .mesh import (
     StructuredMesh,
     build_mesh,
-    triangle_gradient,
     triangle_gradients,
 )
 from .monitors import (
@@ -73,7 +72,6 @@ from .physics import (
 )
 from .snapshots import read_field_csv, write_snapshot
 from .solver import (
-    IndefiniteDetected,
     NonConvergence,
     NumericalBreakdown,
     SolverConfig,

@@ -70,6 +70,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number_list(text: str, flag: str, convert, valid, what: str) -> list:
+    """Parse a non-empty comma-separated list of numbers given to a flag."""
+    try:
+        values = [convert(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(valid(v) for v in values):
+        raise ConfigError(f"{flag} must be a comma-separated list of {what}")
+    return values
+
+
 def _write_run_outputs(setup, traj, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     meta = traj.run_metadata
@@ -114,18 +125,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    kappas = _number_list(args.kappas, "--kappas", float,
+                          lambda k: 0 < k < np.inf, "positive numbers")
+    if any(b >= a for a, b in zip(kappas, kappas[1:])):
+        raise ConfigError("--kappas must be strictly decreasing")
     config = load_config(args.config)
     setup = build_setup(config, Path(args.config).parent)
-    try:
-        kappas = [float(k) for k in args.kappas.split(",") if k]
-    except ValueError:
-        print("--kappas must be comma-separated numbers", file=sys.stderr)
-        return 2
-    if not kappas or any(k <= 0 for k in kappas) or any(
-        b >= a for a, b in zip(kappas, kappas[1:])
-    ):
-        print("--kappas must be strictly decreasing positives", file=sys.stderr)
-        return 2
 
     result = kappa_sweep(setup.mesh, setup.params, setup.time_grid,
                          setup.solver_config, kappas,
@@ -159,13 +164,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mms(args) -> int:
+    meshes = _number_list(args.meshes, "--meshes", int, lambda n: n >= 3,
+                          "node counts >= 3")
+    if args.spatial_steps is not None and args.spatial_steps < 1:
+        raise ConfigError("--spatial-steps must be at least 1")
     config = load_config(args.config)
     setup = build_setup(config, Path(args.config).parent)
-    meshes = [int(s) for s in args.meshes.split(",") if s]
     if args.steps is None:
         steps = [setup.time_grid.N, 2 * setup.time_grid.N]
     else:
-        steps = [int(s) for s in args.steps.split(",") if s]
+        steps = _number_list(args.steps, "--steps", int, lambda n: n >= 1,
+                             "step counts >= 1")
     if setup.params.mu1 != setup.params.mu2:
         print("mms study requires a constant mu", file=sys.stderr)
         return 2

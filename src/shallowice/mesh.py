@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "StructuredMesh",
     "build_mesh",
-    "triangle_gradient",
     "triangle_gradients",
     "scatter_vertex_sums",
     "require_nodal",
@@ -144,13 +143,6 @@ def build_mesh(nx: int, ny: int, Lx: float, Ly: float) -> StructuredMesh:
 def triangle_gradients(mesh: StructuredMesh, f: np.ndarray) -> np.ndarray:
     """Gradient of the piecewise-linear interpolant of f, one 2-vector per triangle."""
     return np.einsum("tl,tld->td", f[mesh.triangles], mesh.grad_basis)
-
-
-def triangle_gradient(mesh: StructuredMesh, tri: int, f: np.ndarray) -> np.ndarray:
-    """Gradient of the piecewise-linear interpolant of f on one triangle."""
-    if not 0 <= tri < mesh.n_triangles:
-        raise IndexError(f"triangle index {tri} out of range [0, {mesh.n_triangles})")
-    return mesh.grad_basis[tri].T @ f[mesh.triangles[tri]]
 
 
 def scatter_vertex_sums(mesh: StructuredMesh, per_vertex: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Damped Newton solver for one implicit step.
 
 The step problem is the minimization of a strictly convex energy, so a
-descent method with line search converges from any starting point.  The
-solver linearizes the residual once per Newton iterate, obtains the Newton
-direction from a matrix-free Jacobi-preconditioned conjugate-gradient solve
-on that linearization, backtracks with an Armijo test measured on the step
-energy, and falls back to a diagonally preconditioned gradient step
-whenever the inner solve reports trouble or the Newton direction fails to
-descend.
+descent method with line search converges from any starting point.  Each
+Newton iterate takes one path: the residual is linearized once, a
+matrix-free Jacobi-preconditioned truncated conjugate-gradient solve on
+that linearization gives a descent direction, and one backtracking line
+search on the step energy accepts the trial point by an Armijo decrease
+or, once the energy decrement sinks below roundoff, by a measurable drop
+of the residual.  A line search that finds no such point raises
+NonConvergence.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from .operators import (
     step_jacobian_action,
     step_residual,
 )
-from .physics import phi_power_reg
 
 __all__ = [
     "SolverError",
     "NonConvergence",
     "NumericalBreakdown",
-    "IndefiniteDetected",
     "SolverConfig",
     "StepResult",
     "inner_linear_solve",
@@ -53,10 +52,6 @@ class NumericalBreakdown(SolverError):
     def __init__(self, message: str, node: int | None = None):
         super().__init__(message)
         self.node = node
-
-
-class IndefiniteDetected(SolverError):
-    """The inner solve met nonpositive curvature; caller should fall back."""
 
 
 @dataclass
@@ -97,12 +92,15 @@ class StepResult:
 
 def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
                        cg_tol: float, cg_max: int) -> np.ndarray:
-    """Matrix-free conjugate gradients with diagonal preconditioning.
+    """Matrix-free truncated conjugate gradients with diagonal preconditioning.
 
     Returns w with ||A w - rhs|| <= cg_tol ||rhs|| when it converges within
     cg_max iterations, else the last iterate (inexact directions are still
-    useful to the outer Newton loop).  Raises IndefiniteDetected on
-    nonpositive curvature.
+    useful to the outer Newton loop).  On nonpositive curvature it stops and
+    returns the current iterate, or the preconditioned residual rhs / diag if
+    that happens at the first iteration (Steihaug; Dembo & Steihaug).  In
+    exact arithmetic every nonzero return satisfies rhs . w > 0, i.e. it is
+    a descent direction of any energy whose gradient is -rhs.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -112,13 +110,13 @@ def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
     z = r / diag
     pvec = z.copy()
     rz = float(r @ z)
-    for _ in range(cg_max):
+    for k in range(cg_max):
         q = action(pvec)
         pq = float(pvec @ q)
         if not np.isfinite(pq):
             raise NumericalBreakdown("non-finite curvature in inner solve")
         if pq <= 0.0:
-            raise IndefiniteDetected(f"curvature p.Ap = {pq:.3e} <= 0")
+            return z if k == 0 else x
         step = rz / pq
         x += step * pvec
         r -= step * q
@@ -137,24 +135,6 @@ def _first_bad_node(*arrays) -> int | None:
         if bad.any():
             return int(np.argmax(bad))
     return None
-
-
-def _separable_direction(problem: StepProblem, u: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Pointwise inversion of the power term with the coupling frozen.
-
-    Solves phi(x_i) = phi_eps(u_i) - (ell/m_i) F_i per interior node and
-    returns x - u.  Near u = 0 the power slope is unbounded and Newton
-    directions oscillate with vanishing energy signature; this direction
-    jumps such nodes straight to their scalar target instead.
-    """
-    mesh = problem.mesh
-    alpha = problem.params.alpha
-    m = mesh.lumped_mass
-    b = phi_power_reg(u, alpha, problem.eps) - problem.ell * F / m
-    x = np.sign(b) * np.abs(b) ** (1.0 / (alpha - 1.0))
-    d = x - u
-    d[mesh.boundary_mask] = 0.0
-    return d
 
 
 def solve_step(problem: StepProblem, config: SolverConfig | None = None,
@@ -183,7 +163,6 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
     history = [res]
     iterations = 0
     backtracks = 0
-    stalled = False
 
     # a NaN residual fails every comparison, so it must enter the loop
     while not res <= cfg.tol_residual:
@@ -199,79 +178,42 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
             )
 
         jac = linearize(problem, u)
-        rhs = -F
-
-        def newton_direction():
-            try:
-                return inner_linear_solve(
-                    lambda w: step_jacobian_action(jac, w),
-                    rhs, jac.diag, cfg.cg_tol, cfg.cg_max,
-                )
-            except IndefiniteDetected:
-                return None
+        direction = inner_linear_solve(
+            lambda w: step_jacobian_action(jac, w),
+            -F, jac.diag, cfg.cg_tol, cfg.cg_max,
+        )
+        slope = float(F @ direction)
+        if not slope < 0.0:
+            raise NonConvergence(
+                f"no descent direction at residual {res:.3e}",
+                residual_history=history,
+            )
 
         # The energy decrement of the final iterations sinks below the
         # roundoff of the energy evaluation, so a trial is accepted on a
         # strict Armijo decrease, or on noise-level energy combined with a
         # measurable drop of the residual norm (which stays resolvable).
         noise = 64.0 * np.finfo(float).eps * max(abs(energy), 1.0)
-
-        def line_search(direction):
-            slope = float(F @ direction)
-            if not slope < 0.0:
-                return None
-            nonlocal backtracks
-            t = 1.0
-            for _ in range(cfg.max_backtrack):
-                u_trial = u + t * direction
-                e_trial = step_energy(problem, u_trial)
-                if np.isfinite(e_trial):
-                    if e_trial <= energy + cfg.armijo_c * t * slope:
-                        F_trial = step_residual(problem, u_trial)
-                        return u_trial, e_trial, F_trial, "armijo"
-                    if e_trial <= energy + noise:
-                        F_trial = step_residual(problem, u_trial)
-                        res_trial = scaled_residual_norm(problem, F_trial)
-                        if res_trial <= cfg.tol_residual or res_trial < res * (1.0 - 1e-9):
-                            return u_trial, e_trial, F_trial, "noise"
-                t *= 0.5
-                backtracks += 1
-            return None
-
-        def separable_jump():
-            # full-step pointwise inversion of the power term; only kept
-            # when it visibly cuts the residual, which is exactly the
-            # regime (states oscillating across u = 0) Newton cannot leave
-            u_trial = u + _separable_direction(problem, u, F)
+        t = 1.0
+        for _ in range(cfg.max_backtrack):
+            u_trial = u + t * direction
             e_trial = step_energy(problem, u_trial)
-            if not (np.isfinite(e_trial) and e_trial <= energy + noise):
-                return None
-            F_trial = step_residual(problem, u_trial)
-            if scaled_residual_norm(problem, F_trial) > 0.9 * res:
-                return None
-            return u_trial, e_trial, F_trial, "separable"
-
-        accepted = None
-        if stalled:
-            accepted = separable_jump()
-        if accepted is None:
-            newton = newton_direction()
-            if newton is not None:
-                accepted = line_search(newton)
-        if accepted is None:
-            accepted = line_search(rhs / jac.diag)
-        if accepted is None:
-            accepted = separable_jump()
-        if accepted is None:
+            if np.isfinite(e_trial) and e_trial <= energy + noise:
+                F_trial = step_residual(problem, u_trial)
+                res_trial = scaled_residual_norm(problem, F_trial)
+                if (e_trial <= energy + cfg.armijo_c * t * slope
+                        or res_trial <= cfg.tol_residual
+                        or res_trial < res * (1.0 - 1e-9)):
+                    break
+            t *= 0.5
+            backtracks += 1
+        else:
             raise NonConvergence(
                 f"line search failed at residual {res:.3e}",
                 residual_history=history,
             )
 
-        u, energy, F, quality = accepted
-        res_new = scaled_residual_norm(problem, F)
-        stalled = quality != "armijo" and res_new > 0.9 * res
-        res = res_new
+        u, energy, F, res = u_trial, e_trial, F_trial, res_trial
         history.append(res)
         iterations += 1
 

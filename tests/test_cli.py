@@ -109,6 +109,11 @@ def test_sweep_rejects_bad_kappas(tmp_path, capsys):
     cfg = write_config(tmp_path / "s.json", tmp_path / "out")
     assert cli(["sweep", str(cfg), "--kappas", "1e-3,1e-2"]) == 2
     assert cli(["sweep", str(cfg), "--kappas", "abc"]) == 2
+    assert cli(["sweep", str(cfg), "--kappas", ","]) == 2
+    assert cli(["sweep", str(cfg), "--kappas", "1e-2,-1e-3"]) == 2
+    for extra in (["--meshes", "9,abc"], ["--meshes", ","], ["--meshes", "2"],
+                  ["--steps", "0"], ["--steps", "x"], ["--spatial-steps", "0"]):
+        assert cli(["mms", str(cfg), *extra]) == 2
 
 
 def test_monitors_recompute(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shallowice import build_mesh, triangle_gradient, triangle_gradients
+from shallowice import build_mesh, triangle_gradients
 
 
 def shoelace_area(pts):
@@ -100,16 +100,6 @@ def test_gradient_affine_reproduction():
         f = a + b * mesh.nodes[:, 0] + c * mesh.nodes[:, 1]
         g = triangle_gradients(mesh, f)
         assert np.max(np.abs(g - np.array([b, c]))) <= 1e-12 * max(1.0, abs(b), abs(c))
-
-
-def test_single_triangle_gradient_matches_bulk(mesh5):
-    rng = np.random.default_rng(11)
-    f = rng.uniform(-1, 1, mesh5.n_nodes)
-    bulk = triangle_gradients(mesh5, f)
-    for t in (0, 3, mesh5.n_triangles - 1):
-        assert np.allclose(triangle_gradient(mesh5, t, f), bulk[t], rtol=1e-14)
-    with pytest.raises(IndexError):
-        triangle_gradient(mesh5, mesh5.n_triangles, f)
 
 
 def test_mesh_arrays_read_only(mesh3):
