@@ -47,7 +47,6 @@ from .monitors import (
     w1p_seminorm_pow,
 )
 from .operators import (
-    SingularEvaluation,
     StepJacobian,
     StepProblem,
     linearize,
@@ -65,7 +64,6 @@ from .physics import (
     glen_mu,
     make_params,
     neg_part,
-    phi_power,
     signed_power,
     thickness_from_u,
     u_from_thickness,

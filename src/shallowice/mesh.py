@@ -10,6 +10,7 @@ Nodal fields are plain 1-D float arrays of length nx*ny.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,13 @@ class StructuredMesh:
     @property
     def spacing(self) -> tuple[float, float]:
         return self.Lx / (self.nx - 1), self.Ly / (self.ny - 1)
+
+    @cached_property
+    def grad_gram(self) -> np.ndarray:
+        """(ntri, 3, 3) read-only products grad hat_i . grad hat_j on each triangle."""
+        gram = np.einsum("tid,tjd->tij", self.grad_basis, self.grad_basis)
+        gram.setflags(write=False)
+        return gram
 
 
 def build_mesh(nx: int, ny: int, Lx: float, Ly: float) -> StructuredMesh:

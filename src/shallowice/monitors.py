@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 SC1_PRIME_TOL = 1e-12
+# relative growth of neg_norm between consecutive kappa_sweep rows that
+# still counts as nonincreasing
+MONOTONE_SLACK = 0.05
 
 
 def lq_norm(mesh: StructuredMesh, v: np.ndarray, q: float) -> float:
@@ -272,8 +275,6 @@ def kappa_sweep(
     *,
     delta: float = 1e-8,
     eps: float = 1e-10,
-    keep_trajectories: bool = True,
-    monotone_slack: float = 0.05,
 ) -> SweepResult:
     """Integrate the same configuration for a decreasing list of penalties.
 
@@ -281,7 +282,8 @@ def kappa_sweep(
     computable proxy for the penalty-scaled dual bound), the full monitor
     record, and the max-norm distance between final states of consecutive
     rows.  Run failures are recorded per row and the sweep continues.
-    monotone_ok states whether neg_norm was nonincreasing within the slack.
+    monotone_ok states whether neg_norm was nonincreasing within
+    MONOTONE_SLACK.
     """
     kappas = [float(k) for k in kappa_list]
     if any(k <= 0 for k in kappas):
@@ -313,12 +315,12 @@ def kappa_sweep(
             neg_norm=record.neg_norm,
             sc2_proxy=record.neg_norm / kappa,
             dist_final=dist,
-            trajectory=traj if keep_trajectories else None,
+            trajectory=traj,
         ))
 
     ok = True
     norms = [r.neg_norm for r in rows if r.error is None]
     for a, b in zip(norms, norms[1:]):
-        if b > a * (1.0 + monotone_slack):
+        if b > a * (1.0 + MONOTONE_SLACK):
             ok = False
     return SweepResult(rows=rows, monotone_ok=ok)

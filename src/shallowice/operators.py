@@ -13,9 +13,10 @@ of the strictly convex step energy, so the step solution is its unique
 minimizer.  Time, penalty, and forcing terms use the lumped nodal masses
 m_i, which keeps the pointwise nonlinearities decoupled across nodes.
 
-The Jacobian is linearized once per Newton iterate: linearize computes every
-coefficient that depends on the state, and step_jacobian_action applies the
-result matrix-free, doing only the work that depends on the direction.
+The Jacobian is linearized once per Newton iterate: linearize builds the
+3x3 element matrix of every triangle and the Jacobi diagonal read off them,
+and step_jacobian_action applies the element matrices without assembling a
+global matrix (element-by-element storage).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .mesh import (
 from .physics import PhysicalParams, dphi_power_reg, flux_weight, phi_power_reg, signed_power
 
 __all__ = [
-    "SolverError",
-    "SingularEvaluation",
     "StepProblem",
     "StepJacobian",
     "p_laplacian_residual",
@@ -46,17 +45,9 @@ __all__ = [
     "scaled_residual_norm",
 ]
 
-# below this magnitude the eps = 0 power slope (alpha-1)|u|^(alpha-2) is
-# treated as numerically singular
+# at eps = 0 the power slope (alpha-1)|u|^(alpha-2) is unbounded at u = 0;
+# the Jacobian evaluates it at |u| >= SINGULAR_STATE
 SINGULAR_STATE = 1e-14
-
-
-class SolverError(RuntimeError):
-    """Base class for step-solver failures."""
-
-
-class SingularEvaluation(SolverError):
-    """Jacobian requested where the unregularized power slope blows up."""
 
 
 @dataclass
@@ -161,43 +152,36 @@ def step_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
 class StepJacobian:
     """Step Jacobian at one state, linearized once for repeated application.
 
-    slope   nodal slope of the time and penalty terms
-    g       triangle gradients of the state
-    weight  per-triangle |T| mu q^((p-2)/2)
-    coef    per-triangle (p-2) weight / q = (p-2) |T| mu q^((p-4)/2)
-    diag    Jacobi diagonal of the whole Jacobian, 1 on boundary rows
+    slope  nodal slope of the time and penalty terms
+    K      (ntri, 3, 3) element matrices of the p-Laplacian linearization
+    diag   Jacobi diagonal of the whole Jacobian, 1 on boundary rows
     """
 
     mesh: StructuredMesh
     slope: np.ndarray
-    g: np.ndarray
-    weight: np.ndarray
-    coef: np.ndarray
+    K: np.ndarray
     diag: np.ndarray
 
 
 def linearize(problem: StepProblem, u: np.ndarray) -> StepJacobian:
     """Linearize step_residual at u.
 
-    The Jacobian is symmetric positive semidefinite as a bilinear form
-    (definite for eps > 0).  The generalized slope of min(u, 0) is 1/kappa
-    where u < 0 and 0 at u = 0 (active-set convention).  Raises
-    SingularEvaluation where eps = 0 and an interior |u| is numerically 0.
+    On triangle T with hat gradients B_T (rows) and state gradient g_T,
+    K_T = weight_T B_T B_T^T + coef_T (B_T g_T)(B_T g_T)^T, where
+    weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q.  The Jacobian
+    is symmetric positive semidefinite as a bilinear form (definite for
+    eps > 0).  The generalized slope of min(u, 0) is 1/kappa where u < 0
+    and 0 at u = 0 (active-set convention).  At eps = 0 the power slope is
+    evaluated at max(|u|, SINGULAR_STATE), which changes only the Newton
+    direction, never the residual that convergence is judged on.
     """
     mesh = problem.mesh
     params = problem.params
     u = require_constrained(mesh, u, "u")
-    if problem.eps == 0.0:
-        small = np.abs(u[mesh.interior_mask]) < SINGULAR_STATE
-        if np.any(small):
-            idx = np.flatnonzero(mesh.interior_mask)[np.argmax(small)]
-            raise SingularEvaluation(
-                f"eps = 0 and |u| < {SINGULAR_STATE} at node {idx}; "
-                "the power slope is unbounded there"
-            )
 
     m = mesh.lumped_mass
-    slope = m * dphi_power_reg(u, params.alpha, problem.eps) / problem.ell
+    u_slope = u if problem.eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
+    slope = m * dphi_power_reg(u_slope, params.alpha, problem.eps) / problem.ell
     slope = slope + (m / problem.kappa) * (u < 0.0)
 
     g = triangle_gradients(mesh, u)
@@ -207,10 +191,11 @@ def linearize(problem: StepProblem, u: np.ndarray) -> StepJacobian:
     coef = flux_weight(q, mesh.areas * params.mu * (params.p - 2.0), params.p - 2.0)
 
     gb = np.einsum("td,tld->tl", g, mesh.grad_basis)
-    bb = np.einsum("tld,tld->tl", mesh.grad_basis, mesh.grad_basis)
-    diag = slope + scatter_vertex_sums(mesh, weight[:, None] * bb + coef[:, None] * gb**2)
+    K = weight[:, None, None] * mesh.grad_gram
+    K += (coef[:, None] * gb)[:, :, None] * gb[:, None, :]
+    diag = slope + scatter_vertex_sums(mesh, np.einsum("tii->ti", K))
     diag[mesh.boundary_mask] = 1.0
-    return StepJacobian(mesh=mesh, slope=slope, g=g, weight=weight, coef=coef, diag=diag)
+    return StepJacobian(mesh=mesh, slope=slope, K=K, diag=diag)
 
 
 def step_jacobian_action(jac: StepJacobian, w: np.ndarray) -> np.ndarray:
@@ -221,10 +206,8 @@ def step_jacobian_action(jac: StepJacobian, w: np.ndarray) -> np.ndarray:
     """
     mesh = jac.mesh
     w = np.where(mesh.boundary_mask, 0.0, require_nodal(mesh, w, "w"))
-    h = triangle_gradients(mesh, w)
-    gh = np.einsum("td,td->t", jac.g, h)
-    flux = jac.weight[:, None] * h + (jac.coef * gh)[:, None] * jac.g
-    out = jac.slope * w + scatter_vertex_sums(mesh, np.einsum("td,tld->tl", flux, mesh.grad_basis))
+    Kw = np.einsum("tij,tj->ti", jac.K, w[mesh.triangles])
+    out = jac.slope * w + scatter_vertex_sums(mesh, Kw)
     out[mesh.boundary_mask] = 0.0
     return out
 

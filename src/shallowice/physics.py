@@ -23,7 +23,6 @@ __all__ = [
     "glen_mu",
     "neg_part",
     "signed_power",
-    "phi_power",
     "phi_power_reg",
     "dphi_power_reg",
     "flux_weight",
@@ -103,17 +102,15 @@ def signed_power(u, q: float):
     return float(out) if out.ndim == 0 else out
 
 
-def phi_power(u, alpha: float):
-    """Time-term nonlinearity |u|^(alpha-2) u, extended by 0 at u = 0."""
+def phi_power_reg(u, alpha: float, eps: float):
+    """Time-term nonlinearity (u^2 + eps^2)^((alpha-2)/2) u for alpha in (1, 2).
+
+    eps = 0 gives |u|^(alpha-2) u, extended by 0 at u = 0.
+    """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    return signed_power(u, alpha - 1.0)
-
-
-def phi_power_reg(u, alpha: float, eps: float):
-    """Regularized power map (u^2 + eps^2)^((alpha-2)/2) u; eps = 0 recovers phi_power."""
     if eps == 0.0:
-        return phi_power(u, alpha)
+        return signed_power(u, alpha - 1.0)
     u = np.asarray(u, dtype=float)
     out = (u * u + eps * eps) ** (0.5 * (alpha - 2.0)) * u
     return float(out) if out.ndim == 0 else out

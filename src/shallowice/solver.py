@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    SolverError,
     StepProblem,
     linearize,
     scaled_residual_norm,
@@ -36,6 +35,10 @@ __all__ = [
     "inner_linear_solve",
     "solve_step",
 ]
+
+
+class SolverError(RuntimeError):
+    """Base class for step-solver failures."""
 
 
 class NonConvergence(SolverError):

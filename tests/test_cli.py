@@ -74,7 +74,8 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert "failed at step" in capsys.readouterr().err
 
 
-def test_singular_jacobian_exit_code(tmp_path, capsys):
+def test_eps0_bare_ground_exit_code(tmp_path, capsys):
+    # bare ground with eps = 0, where the power slope is unbounded at u = 0
     cfg = write_config(
         tmp_path / "eps0.json", tmp_path / "out",
         domain={"Lx": 1.0, "Ly": 1.0, "nx": 9, "ny": 9},
@@ -82,8 +83,8 @@ def test_singular_jacobian_exit_code(tmp_path, capsys):
         penalty={"kappa": 1e-3, "eps": 0.0},
         forcing={"preset": "melt", "rate": -2.0},
     )
-    assert cli(["run", str(cfg)]) == 1
-    assert "failed at step 0" in capsys.readouterr().err
+    assert cli(["run", str(cfg)]) == 0
+    assert "failed" not in capsys.readouterr().err
 
 
 def test_sweep_command(tmp_path, capsys):

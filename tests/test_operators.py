@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from shallowice import (
-    SingularEvaluation,
     StepProblem,
     linearize,
     p_laplacian_residual,
-    phi_power,
     scaled_residual_norm,
     step_energy,
     step_jacobian_action,
     step_residual,
 )
+from shallowice.physics import phi_power_reg
 from shallowice.verification import brute_force_step_oracle
 
 from conftest import make_problem, random_state, zero_boundary
@@ -144,32 +143,39 @@ def test_gradient_consistency_with_regularization(mesh5):
     assert float(step_residual(prob, u) @ w) == pytest.approx(fd, rel=1e-6)
 
 
+# the rank-one coefficient (p-2) weight / q is negative below p = 2 and
+# vanishes at p = 2
+JACOBIAN_PS = (1.5, 2.0, 3.0, 5.0)
+
+
 def test_jacobian_matches_fd_of_residual(mesh5):
     rng = np.random.default_rng(12)
-    prob = make_problem(mesh5, delta=1e-8, eps=1e-10, seed=3)
-    for _ in range(5):
-        u = random_state(mesh5, rng, lo=0.2)
-        w = random_state(mesh5, rng)
-        h = 1e-6
-        fd = (step_residual(prob, u + h * w) - step_residual(prob, u - h * w)) / (2 * h)
-        Jw = step_jacobian_action(linearize(prob, u), w)
-        free = prob.mesh.interior_mask
-        scale = max(np.max(np.abs(fd[free])), 1.0)
-        assert np.max(np.abs(Jw[free] - fd[free])) / scale < 1e-5
+    for p in JACOBIAN_PS:
+        prob = make_problem(mesh5, p=p, delta=1e-8, eps=1e-10, seed=3)
+        for _ in range(5):
+            u = random_state(mesh5, rng, lo=0.2)
+            w = random_state(mesh5, rng)
+            h = 1e-6
+            fd = (step_residual(prob, u + h * w) - step_residual(prob, u - h * w)) / (2 * h)
+            Jw = step_jacobian_action(linearize(prob, u), w)
+            free = prob.mesh.interior_mask
+            scale = max(np.max(np.abs(fd[free])), 1.0)
+            assert np.max(np.abs(Jw[free] - fd[free])) / scale < 1e-5, p
 
 
 def test_jacobian_symmetric_positive(mesh5):
     rng = np.random.default_rng(13)
-    prob = make_problem(mesh5, seed=5)
-    jac = linearize(prob, random_state(mesh5, rng, lo=0.2))
-    for _ in range(10):
-        w1 = random_state(mesh5, rng)
-        w2 = random_state(mesh5, rng)
-        a12 = float(w1 @ step_jacobian_action(jac, w2))
-        a21 = float(w2 @ step_jacobian_action(jac, w1))
-        assert a12 == pytest.approx(a21, rel=1e-10, abs=1e-12)
-        quad = float(w1 @ step_jacobian_action(jac, w1))
-        assert quad > 0.0
+    for p in JACOBIAN_PS:
+        prob = make_problem(mesh5, p=p, seed=5)
+        jac = linearize(prob, random_state(mesh5, rng, lo=0.2))
+        for _ in range(10):
+            w1 = random_state(mesh5, rng)
+            w2 = random_state(mesh5, rng)
+            a12 = float(w1 @ step_jacobian_action(jac, w2))
+            a21 = float(w2 @ step_jacobian_action(jac, w1))
+            assert a12 == pytest.approx(a21, rel=1e-10, abs=1e-12), p
+            quad = float(w1 @ step_jacobian_action(jac, w1))
+            assert quad > 0.0, p
 
 
 def test_jacobian_p2_state_independent(mesh3):
@@ -190,11 +196,16 @@ def test_jacobian_p2_state_independent(mesh3):
     assert np.allclose(Jw, expected, atol=1e-11)
 
 
-def test_jacobian_singular_flag(mesh3):
+def test_jacobian_finite_at_zero_state_eps0(mesh3):
+    # eps = 0 leaves the power slope unbounded at u = 0; the Jacobian
+    # evaluates it at the singular floor instead
     prob = make_problem(mesh3, eps=0.0, seed=7)
-    u = np.zeros(mesh3.n_nodes)  # interior value below the singular floor
-    with pytest.raises(SingularEvaluation):
-        linearize(prob, u)
+    u = np.zeros(mesh3.n_nodes)
+    jac = linearize(prob, u)
+    assert np.all(np.isfinite(jac.diag))
+    assert np.all(jac.diag > 0.0)
+    w = zero_boundary(mesh3, np.ones(mesh3.n_nodes))
+    assert np.all(np.isfinite(step_jacobian_action(jac, w)))
 
 
 def test_jacobian_zero_direction(mesh5):
@@ -236,7 +247,7 @@ def test_discrete_power_gap_inequality(mesh5):
         for _ in range(50):
             a = rng.uniform(-3, 3, mesh5.n_nodes)
             b = rng.uniform(-3, 3, mesh5.n_nodes)
-            lhs = float(m @ ((phi_power(a, alpha) - phi_power(b, alpha)) * a))
+            lhs = float(m @ ((phi_power_reg(a, alpha, 0.0) - phi_power_reg(b, alpha, 0.0)) * a))
             rhs = float(m @ (np.abs(a) ** alpha - np.abs(b) ** alpha)) / conj
             assert lhs >= rhs - 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 

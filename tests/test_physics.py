@@ -9,7 +9,6 @@ from shallowice import (
     glen_mu,
     make_params,
     neg_part,
-    phi_power,
     signed_power,
     thickness_from_u,
     u_from_thickness,
@@ -85,28 +84,30 @@ def test_neg_part_lipschitz_and_monotone():
 
 
 def test_phi_power_values():
-    assert phi_power(0.0, 4.0 / 3.0) == 0.0
-    assert phi_power(1.0, 1.7) == 1.0
-    assert phi_power(-8.0, 4.0 / 3.0) == pytest.approx(-2.0, rel=1e-14)
+    assert phi_power_reg(0.0, 4.0 / 3.0, 0.0) == 0.0
+    assert phi_power_reg(1.0, 1.7, 0.0) == 1.0
+    assert phi_power_reg(-8.0, 4.0 / 3.0, 0.0) == pytest.approx(-2.0, rel=1e-14)
     with pytest.raises(ValueError):
-        phi_power(1.0, 2.5)
+        phi_power_reg(1.0, 2.5, 0.0)
 
 
 def test_phi_power_odd_strictly_increasing():
     rng = np.random.default_rng(6)
     u = rng.uniform(-100, 100, 5000)
     for alpha in (1.2, 4.0 / 3.0, 1.9):
-        assert np.allclose(phi_power(-u, alpha), -phi_power(u, alpha), rtol=1e-14)
+        assert np.allclose(phi_power_reg(-u, alpha, 0.0), -phi_power_reg(u, alpha, 0.0),
+                           rtol=1e-14)
         a, b = rng.uniform(-50, 50, (2, 5000))
         keep = a != b
-        gap = (phi_power(a, alpha) - phi_power(b, alpha)) * (a - b)
+        gap = (phi_power_reg(a, alpha, 0.0) - phi_power_reg(b, alpha, 0.0)) * (a - b)
         assert np.all(gap[keep] > 0)
 
 
 def test_phi_power_reg_consistency():
     u = np.array([-2.0, -1e-12, 0.0, 3e-11, 0.5])
     alpha = 4.0 / 3.0
-    assert np.allclose(phi_power_reg(u, alpha, 0.0), phi_power(u, alpha), rtol=1e-15)
+    assert np.allclose(phi_power_reg(u, alpha, 0.0), signed_power(u, alpha - 1.0),
+                       rtol=1e-15)
     reg = phi_power_reg(u, alpha, 1e-10)
     assert np.all(np.isfinite(reg))
     assert reg[2] == 0.0

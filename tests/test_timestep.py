@@ -7,7 +7,6 @@ from shallowice import (
     LinearForcing,
     MarchError,
     MeltForcing,
-    SingularEvaluation,
     SolverConfig,
     StepProblem,
     TimeGrid,
@@ -17,8 +16,10 @@ from shallowice import (
     interpolant_value,
     make_params,
     run,
+    scaled_residual_norm,
     signed_power,
     solve_step,
+    step_residual,
 )
 
 
@@ -166,15 +167,23 @@ def test_march_error_carries_partial(mesh9):
     assert np.array_equal(err.value.partial.states[0], params.u0)
 
 
-def test_singular_jacobian_raises_march_error(mesh9):
-    # eps = 0 leaves the power slope unbounded on bare ground
+def test_eps0_bare_ground_march_converges(mesh9):
+    # eps = 0 leaves the power slope unbounded at u = 0 on bare ground; the
+    # step minimizer still exists and every step must reach tolerance
     n = mesh9.n_nodes
     params = make_params(mesh9, 3.0, MeltForcing(-2.0), u0=np.zeros(n), mu=1.0)
-    with pytest.raises(MarchError) as err:
-        run(mesh9, params, TimeGrid(2.0, 20), 1e-3, eps=0.0)
-    assert err.value.step_index == 0
-    assert isinstance(err.value.cause, SingularEvaluation)
-    assert len(err.value.partial.states) == 1
+    grid = TimeGrid(2.0, 20)
+    cfg = SolverConfig()
+    traj = run(mesh9, params, grid, 1e-3, cfg, eps=0.0)
+    assert traj.N == grid.N
+    for k in range(grid.N):
+        problem = StepProblem(
+            mesh=mesh9, params=params, u_prev=traj.states[k],
+            a_bar=average_forcing(params.forcing, k, grid, mesh9),
+            ell=grid.ell, kappa=1e-3, eps=0.0,
+        )
+        res = scaled_residual_norm(problem, step_residual(problem, traj.states[k + 1]))
+        assert res <= cfg.tol_residual
 
 
 def test_run_metadata_contents(mesh5):
