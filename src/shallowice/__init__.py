@@ -47,7 +47,6 @@ from .monitors import (
     w1p_seminorm_pow,
 )
 from .operators import (
-    StepJacobian,
     StepProblem,
     linearize,
     p_laplacian_residual,

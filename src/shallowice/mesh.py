@@ -68,6 +68,51 @@ class StructuredMesh:
         gram.setflags(write=False)
         return gram
 
+    @cached_property
+    def stencil_cols(self) -> np.ndarray:
+        """(n, 7) read-only column of each stencil entry, clipped into range.
+
+        Entry k of row i couples node i to node i + _stencil_offsets(nx)[k];
+        every interior row has all seven neighbours, boundary rows hold
+        clipped placeholders.
+        """
+        n = self.n_nodes
+        cols = np.clip(np.arange(n)[:, None] + _stencil_offsets(self.nx), 0, n - 1)
+        cols.setflags(write=False)
+        return cols
+
+    @cached_property
+    def stencil_slots(self) -> np.ndarray:
+        """(ntri*9,) read-only flat stencil slot 7 i + k of each element entry.
+
+        Entry (t, a, b) of a per-triangle 3x3 matrix lands in row
+        i = triangles[t, a] at the slot k of the offset triangles[t, b] - i,
+        so summing element matrices into stencil rows is one bincount.
+        """
+        reach = self.nx + 1
+        lookup = np.full(2 * reach + 1, -1, dtype=np.int32)
+        lookup[_stencil_offsets(self.nx) + reach] = np.arange(7, dtype=np.int32)
+        tri = self.triangles.astype(np.int32)
+        rows = np.repeat(tri, 3, axis=1)  # triangles[t, a] at column 3 a + b
+        offset = np.tile(tri, 3)          # triangles[t, b] at column 3 a + b
+        offset -= rows
+        offset += reach
+        if offset.min() < 0 or offset.max() > 2 * reach:
+            raise ValueError("a triangle couples nodes outside the 7-point stencil")
+        slot = lookup[offset]
+        if slot.min() < 0:
+            raise ValueError("a triangle couples nodes outside the 7-point stencil")
+        rows *= 7
+        rows += slot
+        slots = rows.ravel()
+        slots.setflags(write=False)
+        return slots
+
+
+def _stencil_offsets(nx: int) -> np.ndarray:
+    """Node offsets (0, +1, -1, +nx, -nx, +nx+1, -nx-1) of the 7-point stencil."""
+    return np.array([0, 1, -1, nx, -nx, nx + 1, -nx - 1])
+
 
 def build_mesh(nx: int, ny: int, Lx: float, Ly: float) -> StructuredMesh:
     """Triangulate [0, Lx] x [0, Ly] with an nx-by-ny node grid.

@@ -14,9 +14,9 @@ minimizer.  Time, penalty, and forcing terms use the lumped nodal masses
 m_i, which keeps the pointwise nonlinearities decoupled across nodes.
 
 The Jacobian is linearized once per Newton iterate: linearize builds the
-3x3 element matrix of every triangle and the Jacobi diagonal read off them,
-and step_jacobian_action applies the element matrices without assembling a
-global matrix (element-by-element storage).
+3x3 element matrix of every triangle and assembles them into one row of
+seven entries per node, the fixed 7-point stencil of the structured mesh
+(ELLPACK storage); step_jacobian_action is one gather and one row dot.
 """
 
 from __future__ import annotations
@@ -150,30 +150,32 @@ def step_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepJacobian:
-    """Step Jacobian at one state, linearized once for repeated application.
+    """Step Jacobian at one state, assembled once for repeated application.
 
-    slope  nodal slope of the time and penalty terms
-    K      (ntri, 3, 3) element matrices of the p-Laplacian linearization
-    diag   Jacobi diagonal of the whole Jacobian, 1 on boundary rows
+    rows   (n, 7) stencil rows, row i holding the couplings of node i to the
+           nodes mesh.stencil_cols[i] (ELLPACK layout); every entry whose row
+           or column is a boundary node is 0
+    diag   Jacobi diagonal, rows[:, 0] with 1 on boundary rows
     """
 
     mesh: StructuredMesh
-    slope: np.ndarray
-    K: np.ndarray
+    rows: np.ndarray
     diag: np.ndarray
 
 
 def linearize(problem: StepProblem, u: np.ndarray) -> StepJacobian:
-    """Linearize step_residual at u.
+    """Linearize step_residual at u and assemble it into stencil rows.
 
     On triangle T with hat gradients B_T (rows) and state gradient g_T,
     K_T = weight_T B_T B_T^T + coef_T (B_T g_T)(B_T g_T)^T, where
-    weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q.  The Jacobian
-    is symmetric positive semidefinite as a bilinear form (definite for
-    eps > 0).  The generalized slope of min(u, 0) is 1/kappa where u < 0
-    and 0 at u = 0 (active-set convention).  At eps = 0 the power slope is
-    evaluated at max(|u|, SINGULAR_STATE), which changes only the Newton
-    direction, never the residual that convergence is judged on.
+    weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q; the element
+    matrices are summed into rows, and the nodal time and penalty slope is
+    added on the diagonal.  The Jacobian is symmetric positive
+    semidefinite as a bilinear form (definite for eps > 0).  The
+    generalized slope of min(u, 0) is 1/kappa where u < 0 and 0 at u = 0
+    (active-set convention).  At eps = 0 the power slope is evaluated at
+    max(|u|, SINGULAR_STATE), which changes only the Newton direction,
+    never the residual that convergence is judged on.
     """
     mesh = problem.mesh
     params = problem.params
@@ -193,23 +195,26 @@ def linearize(problem: StepProblem, u: np.ndarray) -> StepJacobian:
     gb = np.einsum("td,tld->tl", g, mesh.grad_basis)
     K = weight[:, None, None] * mesh.grad_gram
     K += (coef[:, None] * gb)[:, :, None] * gb[:, None, :]
-    diag = slope + scatter_vertex_sums(mesh, np.einsum("tii->ti", K))
-    diag[mesh.boundary_mask] = 1.0
-    return StepJacobian(mesh=mesh, slope=slope, K=K, diag=diag)
+
+    n = mesh.n_nodes
+    rows = np.bincount(mesh.stencil_slots, K.ravel(), minlength=7 * n).reshape(n, 7)
+    rows[:, 0] += slope
+    boundary = mesh.boundary_mask
+    rows[boundary[:, None] | boundary[mesh.stencil_cols]] = 0.0
+    diag = rows[:, 0].copy()
+    diag[boundary] = 1.0
+    return StepJacobian(mesh=mesh, rows=rows, diag=diag)
 
 
 def step_jacobian_action(jac: StepJacobian, w: np.ndarray) -> np.ndarray:
     """Jacobian of step_residual, as linearized in jac, applied to w.
 
-    Boundary rows of the result are zero and boundary entries of w are
-    ignored.
+    One gather and one row dot.  Boundary rows of the result are zero and
+    finite boundary entries of w are ignored.
     """
     mesh = jac.mesh
-    w = np.where(mesh.boundary_mask, 0.0, require_nodal(mesh, w, "w"))
-    Kw = np.einsum("tij,tj->ti", jac.K, w[mesh.triangles])
-    out = jac.slope * w + scatter_vertex_sums(mesh, Kw)
-    out[mesh.boundary_mask] = 0.0
-    return out
+    w = require_nodal(mesh, w, "w")
+    return np.einsum("ik,ik->i", jac.rows, w[mesh.stencil_cols])
 
 
 def scaled_residual_norm(problem: StepProblem, F: np.ndarray) -> float:

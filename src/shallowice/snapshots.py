@@ -32,6 +32,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _fmt_array(a) -> list[str]:
+    """_fmt of every element; one tolist() instead of a float() per element."""
+    return list(map(repr, np.asarray(a, dtype=float).tolist()))
+
+
 def _metadata_lines(metadata: dict | None) -> list[str]:
     if not metadata:
         return []
@@ -55,8 +60,9 @@ def write_snapshot(field: np.ndarray, mesh: StructuredMesh, path, fmt: str,
         if fmt == "csv":
             lines = _metadata_lines(metadata)
             lines.append("x,y,value")
-            for (x, y), v in zip(mesh.nodes, field):
-                lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}")
+            columns = (_fmt_array(mesh.nodes[:, 0]), _fmt_array(mesh.nodes[:, 1]),
+                       _fmt_array(field))
+            lines.extend(map(",".join, zip(*columns)))
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         elif fmt == "vtk":
             hx, hy = mesh.spacing
@@ -75,7 +81,7 @@ def write_snapshot(field: np.ndarray, mesh: StructuredMesh, path, fmt: str,
                 f"SCALARS {name} double",
                 "LOOKUP_TABLE default",
             ]
-            lines.extend(_fmt(v) for v in field)
+            lines.extend(_fmt_array(field))
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         else:
             raise ValueError(f"format must be 'csv' or 'vtk', got {fmt!r}")
@@ -137,7 +143,7 @@ def write_states_csv(states: list, path, metadata: dict | None = None) -> None:
     lines = _metadata_lines(metadata)
     lines.append("step," + ",".join(f"node{i}" for i in range(len(states[0]))))
     for n, u in enumerate(states):
-        lines.append(str(n) + "," + ",".join(_fmt(v) for v in u))
+        lines.append(str(n) + "," + ",".join(_fmt_array(u)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

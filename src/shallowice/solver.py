@@ -2,13 +2,13 @@
 
 The step problem is the minimization of a strictly convex energy, so a
 descent method with line search converges from any starting point.  Each
-Newton iterate takes one path: the residual is linearized once, a
-matrix-free Jacobi-preconditioned truncated conjugate-gradient solve on
-that linearization gives a descent direction, and one backtracking line
-search on the step energy accepts the trial point by an Armijo decrease
-or, once the energy decrement sinks below roundoff, by a measurable drop
-of the residual.  A line search that finds no such point raises
-NonConvergence.
+Newton iterate takes one path: the residual is linearized once and
+assembled into 7-point stencil rows, a Jacobi-preconditioned truncated
+conjugate-gradient solve on them gives a descent direction, and one
+backtracking line search on the step energy accepts the trial point by an
+Armijo decrease or, once the energy decrement sinks below roundoff, by a
+measurable drop of the residual.  A line search that finds no such point
+raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -95,7 +95,9 @@ class StepResult:
 
 def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
                        cg_tol: float, cg_max: int) -> np.ndarray:
-    """Matrix-free truncated conjugate gradients with diagonal preconditioning.
+    """Truncated conjugate gradients with diagonal preconditioning.
+
+    The operator enters only through action(w), its product with w.
 
     Returns w with ||A w - rhs|| <= cg_tol ||rhs|| when it converges within
     cg_max iterations, else the last iterate (inexact directions are still

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,28 @@ def test_gradient_affine_reproduction():
 def test_mesh_arrays_read_only(mesh3):
     with pytest.raises(ValueError):
         mesh3.lumped_mass[0] = 7.0
+
+
+def test_stencil_slots_address_element_entries():
+    # each element entry (t, a, b) must land in row triangles[t, a] at the
+    # slot whose column is triangles[t, b]
+    for nx, ny in [(3, 3), (6, 4), (4, 7)]:
+        mesh = build_mesh(nx, ny, 1.0, 1.0)
+        row, slot = np.divmod(mesh.stencil_slots.reshape(-1, 3, 3), 7)
+        assert np.array_equal(row, np.repeat(mesh.triangles[:, :, None], 3, axis=2))
+        col = mesh.stencil_cols[row, slot]
+        assert np.array_equal(col, np.repeat(mesh.triangles[:, None, :], 3, axis=1))
+        assert mesh.stencil_cols.dtype == np.intp
+        for arr in (mesh.stencil_cols, mesh.stencil_slots):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+def test_stencil_slots_reject_other_diagonal(mesh5):
+    # splitting a cell along its other diagonal couples lr and ul, offset nx - 1
+    tri = mesh5.triangles.copy()
+    tri[0] = [0, 1, mesh5.nx]
+    tri[1] = [1, mesh5.nx + 1, mesh5.nx]
+    bad = dataclasses.replace(mesh5, triangles=tri)
+    with pytest.raises(ValueError, match="7-point stencil"):
+        bad.stencil_slots

@@ -5,6 +5,7 @@ import pytest
 
 from shallowice import (
     StepProblem,
+    build_mesh,
     linearize,
     p_laplacian_residual,
     scaled_residual_norm,
@@ -12,7 +13,9 @@ from shallowice import (
     step_jacobian_action,
     step_residual,
 )
-from shallowice.physics import phi_power_reg
+from shallowice.mesh import scatter_vertex_sums, triangle_gradients
+from shallowice.operators import SINGULAR_STATE
+from shallowice.physics import dphi_power_reg, phi_power_reg
 from shallowice.verification import brute_force_step_oracle
 
 from conftest import make_problem, random_state, zero_boundary
@@ -33,6 +36,27 @@ def hand_assembled_stiffness(mesh, mu=1.0):
             for j in range(3):
                 K[tri[i], tri[j]] += mu * area * (b[i] * b[j] + c[i] * c[j])
     return K
+
+
+def element_jacobian_action(prob, u, w):
+    """Element-by-element Jacobian action: gather, 3x3 contraction per
+    triangle, scatter, plus the nodal time and penalty slope."""
+    mesh, params = prob.mesh, prob.params
+    m = mesh.lumped_mass
+    u_slope = u if prob.eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
+    slope = m * dphi_power_reg(u_slope, params.alpha, prob.eps) / prob.ell
+    slope = slope + (m / prob.kappa) * (u < 0.0)
+    g = triangle_gradients(mesh, u)
+    q = np.einsum("td,td->t", g, g) + prob.delta**2
+    weight = mesh.areas * params.mu * q ** ((params.p - 2.0) / 2.0)
+    coef = (params.p - 2.0) * weight / q
+    gb = np.einsum("td,tld->tl", g, mesh.grad_basis)
+    K = weight[:, None, None] * np.einsum("tid,tjd->tij", mesh.grad_basis, mesh.grad_basis)
+    K += coef[:, None, None] * gb[:, :, None] * gb[:, None, :]
+    w = zero_boundary(mesh, w)
+    out = slope * w + scatter_vertex_sums(mesh, np.einsum("tij,tj->ti", K, w[mesh.triangles]))
+    out[mesh.boundary_mask] = 0.0
+    return out
 
 
 def test_stiffness_zero_state(mesh5):
@@ -228,6 +252,28 @@ def test_jacobian_diagonal_matches_action(mesh5, p):
         assert jac.diag[i] == pytest.approx(step_jacobian_action(jac, e)[i], rel=1e-13)
 
 
+def test_jacobian_matches_element_reference():
+    rng = np.random.default_rng(20)
+    for nx, ny in ((3, 3), (6, 4), (10, 14), (33, 33)):
+        mesh = build_mesh(nx, ny, 2.0, 1.5)
+        for p in JACOBIAN_PS:
+            prob = make_problem(mesh, p=p, seed=11)
+            u = random_state(mesh, rng)
+            w = random_state(mesh, rng)
+            Jw = step_jacobian_action(linearize(prob, u), w)
+            ref = element_jacobian_action(prob, u, w)
+            assert np.max(np.abs(Jw - ref)) <= 1e-13 * np.max(np.abs(ref)), (nx, ny, p)
+
+
+def test_jacobian_ignores_boundary_direction(mesh9):
+    rng = np.random.default_rng(21)
+    prob = make_problem(mesh9, seed=12)
+    jac = linearize(prob, random_state(mesh9, rng))
+    w = random_state(mesh9, rng)
+    noisy = w + np.where(mesh9.boundary_mask, rng.uniform(-1e3, 1e3, mesh9.n_nodes), 0.0)
+    assert np.array_equal(step_jacobian_action(jac, noisy), step_jacobian_action(jac, w))
+
+
 def test_operator_monotone(mesh5):
     rng = np.random.default_rng(16)
     prob = make_problem(mesh5, seed=9)
@@ -291,6 +337,13 @@ def test_assembly_order_invariance(mesh5):
     scale = np.max(np.abs(F1)) or 1.0
     assert np.max(np.abs(F1 - F2)) <= 1e-13 * scale
     assert step_energy(prob, u) == pytest.approx(step_energy(prob2, u), rel=1e-13)
+    # the stencil-row Jacobian: diagonal and action
+    w = random_state(mesh5, rng)
+    jac1, jac2 = linearize(prob, u), linearize(prob2, u)
+    assert np.max(np.abs(jac1.diag - jac2.diag)) <= 1e-13 * np.max(np.abs(jac1.diag))
+    Jw1 = step_jacobian_action(jac1, w)
+    Jw2 = step_jacobian_action(jac2, w)
+    assert np.max(np.abs(Jw1 - Jw2)) <= 1e-13 * np.max(np.abs(Jw1))
 
 
 def test_problem_validation(mesh3):

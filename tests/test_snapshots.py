@@ -94,3 +94,25 @@ def test_monitors_csv_zero_record(tmp_path):
     cells = lines[1].split(",")
     assert cells[MonitorRecord.FIELDS.index("sc1_prime_ok")] == "1"
     assert all(c in ("0.0", "1") for c in cells)
+
+
+# signed zero, repeating and inexact decimals, the smallest subnormal, a huge value
+AWKWARD = (-0.0, 1.0 / 3.0, 0.1 + 0.2, 5e-324, 1e300)
+
+
+def test_value_format_is_repr_of_float(tmp_path, mesh3):
+    field = np.resize(np.array(AWKWARD), mesh3.n_nodes)
+    field[::2] *= -1.0
+    write_snapshot(field, mesh3, tmp_path / "u.csv", "csv")
+    write_snapshot(field, mesh3, tmp_path / "u.vtk", "vtk")
+    write_states_csv([field, field[::-1]], tmp_path / "states.csv")
+
+    csv_rows = (tmp_path / "u.csv").read_text().splitlines()[1:]
+    assert csv_rows == [f"{repr(float(x))},{repr(float(y))},{repr(float(v))}"
+                        for (x, y), v in zip(mesh3.nodes, field)]
+    vtk_values = (tmp_path / "u.vtk").read_text().splitlines()[10:]
+    assert vtk_values == [repr(float(v)) for v in field]
+    state_rows = (tmp_path / "states.csv").read_text().splitlines()[1:]
+    assert state_rows == [f"{n}," + ",".join(repr(float(v)) for v in u)
+                          for n, u in enumerate([field, field[::-1]])]
+    assert "-0.0" in vtk_values and "5e-324" in vtk_values
