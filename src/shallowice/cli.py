@@ -196,6 +196,8 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     failures = 0
 
     report = lemma_inequality_suite(args.samples, seed=0)

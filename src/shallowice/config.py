@@ -278,7 +278,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
+    return parse_config(text)
 
 
 def initial_thickness_field(kind: str, amplitude: float, mesh: StructuredMesh) -> np.ndarray:

@@ -13,9 +13,13 @@ of the strictly convex step energy, so the step solution is its unique
 minimizer.  Time, penalty, and forcing terms use the lumped nodal masses
 m_i, which keeps the pointwise nonlinearities decoupled across nodes.
 
-The Jacobian is linearized once per Newton iterate: linearize builds the
-3x3 element matrix of every triangle and assembles them into one row of
-seven entries per node, the fixed 7-point stencil of the structured mesh
+evaluate is the one home of both formulas: from one pass over the triangle
+gradients it returns a StepPoint with the energy, the residual and the
+gradient state (g, q and the flux weight); step_energy and step_residual
+read it.  The Jacobian is linearized once per Newton iterate from the
+accepted StepPoint, reusing its gradient state: linearize builds the 3x3
+element matrix of every triangle and assembles them into one row of seven
+entries per node, the fixed 7-point stencil of the structured mesh
 (ELLPACK storage); step_jacobian_action is one gather and one row dot.
 """
 
@@ -36,8 +40,9 @@ from .physics import PhysicalParams, dphi_power_reg, flux_weight, phi_power_reg,
 
 __all__ = [
     "StepProblem",
+    "StepPoint",
     "StepJacobian",
-    "p_laplacian_residual",
+    "evaluate",
     "step_energy",
     "step_residual",
     "linearize",
@@ -83,35 +88,49 @@ class StepProblem:
         self.a_bar = require_nodal(self.mesh, self.a_bar, "a_bar")
 
 
-def p_laplacian_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
-    """Stiffness action S_i(u) = sum_T |T| mu_T q^((p-2)/2) grad u . grad hat_i.
+@dataclass(frozen=True)
+class StepPoint:
+    """Everything the solver needs at one state, from one gradient pass.
 
-    Boundary rows are identity-constrained and reported as zero.
+    u          the state (zero on the boundary)
+    energy     step_energy at u
+    residual   step_residual at u, zero rows on the boundary
+    g, q       per-triangle state gradient and |g|^2 + delta^2
+    weight     per-triangle flux weight |T| mu q^((p-2)/2)
     """
-    mesh = problem.mesh
-    u = require_constrained(mesh, u, "u")
-    g = triangle_gradients(mesh, u)
-    q = np.einsum("td,td->t", g, g) + problem.delta**2
-    flux = flux_weight(q, mesh.areas * problem.params.mu, problem.params.p)[:, None] * g
-    S = scatter_vertex_sums(mesh, np.einsum("td,tld->tl", flux, mesh.grad_basis))
-    S[mesh.boundary_mask] = 0.0
-    return S
+
+    u: np.ndarray
+    energy: float
+    residual: np.ndarray
+    g: np.ndarray
+    q: np.ndarray
+    weight: np.ndarray
 
 
-def step_energy(problem: StepProblem, u: np.ndarray) -> float:
-    """Convex objective whose gradient is step_residual.
+def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
+    """Energy, residual and gradient state of the implicit step at u.
+
+    The energy is the convex objective
 
     J(u) = sum_i m_i [ pw(u_i)/ell - phi(uprev_i) u_i / ell
                        + min(u_i,0)^2/(2 kappa) - abar_i u_i ]
          + sum_T (|T| mu_T / p) (|grad u_T|^2 + delta^2)^(p/2),
 
     with pw(u) = ((u^2 + eps^2)^(alpha/2) - eps^alpha)/alpha, which reduces
-    to |u|^alpha/alpha at eps = 0 and keeps J(0) = 0 exactly.
+    to |u|^alpha/alpha at eps = 0 and keeps J(0) = 0 exactly.  The residual
+    is its gradient: the nodal time, penalty and forcing terms plus the
+    stiffness action S_i(u) = sum_T |T| mu_T q^((p-2)/2) grad u . grad hat_i.
+    Both come from one triangle_gradients call.
     """
     mesh = problem.mesh
     params = problem.params
     u = require_constrained(mesh, u, "u")
+    m = mesh.lumped_mass
     alpha, eps = params.alpha, problem.eps
+
+    g = triangle_gradients(mesh, u)
+    q = np.einsum("td,td->t", g, g) + problem.delta**2
+    weight = flux_weight(q, mesh.areas * params.mu, params.p)
 
     if eps == 0.0:
         pw = np.abs(u) ** alpha / alpha
@@ -124,28 +143,29 @@ def step_energy(problem: StepProblem, u: np.ndarray) -> float:
         + np.minimum(u, 0.0) ** 2 / (2.0 * problem.kappa)
         - problem.a_bar * u
     )
-    g = triangle_gradients(mesh, u)
-    q = np.einsum("td,td->t", g, g) + problem.delta**2
     grad_term = (mesh.areas * params.mu / params.p) * q ** (0.5 * params.p)
-    return float(mesh.lumped_mass @ nodal + grad_term.sum())
+    energy = float(m @ nodal + grad_term.sum())
 
-
-def step_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
-    """Nodal residual of the implicit step; zero rows on the boundary."""
-    mesh = problem.mesh
-    params = problem.params
-    u = require_constrained(mesh, u, "u")
-    m = mesh.lumped_mass
-    phi_new = phi_power_reg(u, params.alpha, problem.eps)
-    phi_prev = signed_power(problem.u_prev, params.alpha - 1.0)
+    S = scatter_vertex_sums(mesh, np.einsum("td,tld->tl", weight[:, None] * g, mesh.grad_basis))
+    phi_new = phi_power_reg(u, alpha, eps)
     F = (
         m * (phi_new - phi_prev) / problem.ell
-        + p_laplacian_residual(problem, u)
+        + S
         + (m / problem.kappa) * np.minimum(u, 0.0)
         - m * problem.a_bar
     )
     F[mesh.boundary_mask] = 0.0
-    return F
+    return StepPoint(u=u, energy=energy, residual=F, g=g, q=q, weight=weight)
+
+
+def step_energy(problem: StepProblem, u: np.ndarray) -> float:
+    """Convex objective of the step (see evaluate); its gradient is step_residual."""
+    return evaluate(problem, u).energy
+
+
+def step_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
+    """Nodal residual of the implicit step; zero rows on the boundary."""
+    return evaluate(problem, u).residual
 
 
 @dataclass(frozen=True)
@@ -163,12 +183,13 @@ class StepJacobian:
     diag: np.ndarray
 
 
-def linearize(problem: StepProblem, u: np.ndarray) -> StepJacobian:
-    """Linearize step_residual at u and assemble it into stencil rows.
+def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
+    """Linearize step_residual at an evaluated point; assemble stencil rows.
 
     On triangle T with hat gradients B_T (rows) and state gradient g_T,
     K_T = weight_T B_T B_T^T + coef_T (B_T g_T)(B_T g_T)^T, where
-    weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q; the element
+    weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q, with g, q and
+    weight taken from the point; the element
     matrices are summed into rows, and the nodal time and penalty slope is
     added on the diagonal.  The Jacobian is symmetric positive
     semidefinite as a bilinear form (definite for eps > 0).  The
@@ -179,16 +200,13 @@ def linearize(problem: StepProblem, u: np.ndarray) -> StepJacobian:
     """
     mesh = problem.mesh
     params = problem.params
-    u = require_constrained(mesh, u, "u")
+    u, g, q, weight = point.u, point.g, point.q, point.weight
 
     m = mesh.lumped_mass
     u_slope = u if problem.eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
     slope = m * dphi_power_reg(u_slope, params.alpha, problem.eps) / problem.ell
     slope = slope + (m / problem.kappa) * (u < 0.0)
 
-    g = triangle_gradients(mesh, u)
-    q = np.einsum("td,td->t", g, g) + problem.delta**2
-    weight = flux_weight(q, mesh.areas * params.mu, params.p)
     # (p-2) weight / q, written as the weight law at exponent p - 2
     coef = flux_weight(q, mesh.areas * params.mu * (params.p - 2.0), params.p - 2.0)
 

@@ -8,7 +8,10 @@ conjugate-gradient solve on them gives a descent direction, and one
 backtracking line search on the step energy accepts the trial point by an
 Armijo decrease or, once the energy decrement sinks below roundoff, by a
 measurable drop of the residual.  A line search that finds no such point
-raises NonConvergence.
+raises NonConvergence.  Every point, the start and each trial, is
+evaluated once: evaluate returns its energy, residual and gradient state
+together, the solver carries the accepted StepPoint, and linearize reuses
+that point's gradient state.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import numpy as np
 
 from .operators import (
     StepProblem,
+    evaluate,
     linearize,
     scaled_residual_norm,
-    step_energy,
     step_jacobian_action,
-    step_residual,
 )
 
 __all__ = [
@@ -162,9 +164,8 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
         if np.any(u[mesh.boundary_mask] != 0.0):
             raise ValueError("initial_guess must vanish on the boundary")
 
-    F = step_residual(problem, u)
-    res = scaled_residual_norm(problem, F)
-    energy = step_energy(problem, u)
+    point = evaluate(problem, u)
+    res = scaled_residual_norm(problem, point.residual)
     history = [res]
     iterations = 0
     backtracks = 0
@@ -173,7 +174,7 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
     while not res <= cfg.tol_residual:
         if not np.isfinite(res):
             raise NumericalBreakdown(
-                "non-finite residual", node=_first_bad_node(F, u)
+                "non-finite residual", node=_first_bad_node(point.residual, point.u)
             )
         if iterations >= cfg.max_newton:
             raise NonConvergence(
@@ -182,12 +183,12 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
                 residual_history=history,
             )
 
-        jac = linearize(problem, u)
+        jac = linearize(problem, point)
         direction = inner_linear_solve(
             lambda w: step_jacobian_action(jac, w),
-            -F, jac.diag, cfg.cg_tol, cfg.cg_max,
+            -point.residual, jac.diag, cfg.cg_tol, cfg.cg_max,
         )
-        slope = float(F @ direction)
+        slope = float(point.residual @ direction)
         if not slope < 0.0:
             raise NonConvergence(
                 f"no descent direction at residual {res:.3e}",
@@ -198,15 +199,13 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
         # roundoff of the energy evaluation, so a trial is accepted on a
         # strict Armijo decrease, or on noise-level energy combined with a
         # measurable drop of the residual norm (which stays resolvable).
-        noise = 64.0 * np.finfo(float).eps * max(abs(energy), 1.0)
+        noise = 64.0 * np.finfo(float).eps * max(abs(point.energy), 1.0)
         t = 1.0
         for _ in range(cfg.max_backtrack):
-            u_trial = u + t * direction
-            e_trial = step_energy(problem, u_trial)
-            if np.isfinite(e_trial) and e_trial <= energy + noise:
-                F_trial = step_residual(problem, u_trial)
-                res_trial = scaled_residual_norm(problem, F_trial)
-                if (e_trial <= energy + cfg.armijo_c * t * slope
+            trial = evaluate(problem, point.u + t * direction)
+            if np.isfinite(trial.energy) and trial.energy <= point.energy + noise:
+                res_trial = scaled_residual_norm(problem, trial.residual)
+                if (trial.energy <= point.energy + cfg.armijo_c * t * slope
                         or res_trial <= cfg.tol_residual
                         or res_trial < res * (1.0 - 1e-9)):
                     break
@@ -218,16 +217,16 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
                 residual_history=history,
             )
 
-        u, energy, F, res = u_trial, e_trial, F_trial, res_trial
+        point, res = trial, res_trial
         history.append(res)
         iterations += 1
 
-    if not np.all(np.isfinite(u)):
-        raise NumericalBreakdown("non-finite state", node=_first_bad_node(u))
+    if not np.all(np.isfinite(point.u)):
+        raise NumericalBreakdown("non-finite state", node=_first_bad_node(point.u))
     return StepResult(
-        u_next=u,
+        u_next=point.u,
         iterations=iterations,
         final_residual=res,
-        final_energy=energy,
+        final_energy=point.energy,
         backtracks=backtracks,
     )

@@ -14,21 +14,25 @@ from shallowice import (
     StepProblem,
     TimeGrid,
     build_mesh,
-    check_sc1,
     compute_monitors,
     initial_thickness_field,
     kappa_sweep,
-    lemma_inequality_suite,
     make_params,
     poly_bump,
     run,
     solve_step,
     step_energy,
     step_residual,
-    triangle_gradients,
     vi_residual,
 )
-from shallowice.verification import MmsCase, brute_force_step_oracle, mms_convergence
+from shallowice.mesh import triangle_gradients
+from shallowice.monitors import check_sc1, check_sc1_prime
+from shallowice.verification import (
+    MmsCase,
+    brute_force_step_oracle,
+    lemma_inequality_suite,
+    mms_convergence,
+)
 
 from conftest import zero_boundary
 
@@ -226,7 +230,7 @@ def test_criterion_8_stability_condition(melt_sweep, dome_records):
     half = run(mesh, params, grid, 5e-5)
     s_half = check_sc1(half, 5e-5)
     rel = abs(s_half - rec.sc1_value) / abs(rec.sc1_value)
-    half_ok, _ = __import__("shallowice").check_sc1_prime(half)
+    half_ok, _ = check_sc1_prime(half)
     records, dome_trajs = dome_records
     zero_sc1 = check_sc1(dome_trajs[(33, 50)], 1e-3)
     check("8 stability condition sc1",

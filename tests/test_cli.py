@@ -62,6 +62,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert cli(["run", str(cfg)]) == 2
 
+    missing = str(tmp_path / "missing.json")
+    for argv in (["run", missing], ["sweep", missing, "--kappas", "1e-2"], ["mms", missing]):
+        assert cli(argv) == 2
+        assert "cannot read" in capsys.readouterr().err
+
 
 def test_solver_failure_exit_code(tmp_path, capsys):
     cfg = write_config(
@@ -142,7 +147,8 @@ def test_run_melt_writes_clipped_thickness(tmp_path):
         time={"T": 0.8, "N": 4},
     )
     assert cli(["run", str(cfg)]) == 0
-    from shallowice import build_mesh, read_field_csv
+    from shallowice import build_mesh
+    from shallowice.snapshots import read_field_csv
 
     mesh = build_mesh(7, 7, 1.0, 1.0)
     states = (tmp_path / "out" / "states.csv").read_text()
@@ -165,3 +171,6 @@ def test_verify_command(capsys):
     assert cli(["verify", "--samples", "20000"]) == 0
     out = capsys.readouterr().out
     assert "all suites passed" in out
+    for samples in ("0", "-5"):
+        assert cli(["verify", "--samples", samples]) == 2
+        assert "--samples must be at least 1" in capsys.readouterr().err

@@ -3,17 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from shallowice import (
+from shallowice import build_setup, initial_thickness_field
+from shallowice.config import (
     ConfigSyntaxError,
     MissingField,
+    RunConfig,
     ValidationError,
-    build_setup,
-    initial_thickness_field,
     parse_config,
-    u_from_thickness,
 )
-from shallowice.config import RunConfig
 from shallowice.forcing import GriddedForcing, MeltForcing
+from shallowice.physics import u_from_thickness
 from shallowice.snapshots import write_snapshot
 
 

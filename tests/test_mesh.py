@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shallowice import build_mesh, triangle_gradients
+from shallowice import build_mesh
+from shallowice.mesh import triangle_gradients
 
 
 def shoelace_area(pts):

@@ -7,18 +7,15 @@ from shallowice import (
     ConstantForcing,
     MeltForcing,
     TimeGrid,
-    check_sc1,
-    check_sc1_prime,
     compute_monitors,
     initial_thickness_field,
     kappa_sweep,
-    lq_norm,
     make_params,
     poly_bump,
     run,
     vi_residual,
-    w1p_seminorm_pow,
 )
+from shallowice.monitors import check_sc1, check_sc1_prime, lq_norm, w1p_seminorm_pow
 
 from conftest import zero_boundary
 

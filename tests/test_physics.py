@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from shallowice import (
-    ConstantForcing,
+from shallowice import ConstantForcing, diagnostic_flux, make_params, thickness_from_u
+from shallowice.physics import (
     PhysicalRangeWarning,
     alpha_of,
-    diagnostic_flux,
+    dphi_power_reg,
     glen_mu,
-    make_params,
     neg_part,
+    phi_power_reg,
     signed_power,
-    thickness_from_u,
     u_from_thickness,
 )
-from shallowice.physics import dphi_power_reg, phi_power_reg
 
 
 def test_alpha_values():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from shallowice import build_mesh, read_field_csv, write_snapshot
+from shallowice import build_mesh, write_snapshot
 from shallowice.monitors import MonitorRecord
 from shallowice.snapshots import (
+    read_field_csv,
     read_states_csv,
     write_monitors_csv,
     write_states_csv,

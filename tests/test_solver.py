@@ -4,23 +4,21 @@ import pytest
 from shallowice import (
     MeltForcing,
     NonConvergence,
-    NumericalBreakdown,
     SolverConfig,
     StepProblem,
     TimeGrid,
     average_forcing,
     build_mesh,
     initial_thickness_field,
-    inner_linear_solve,
-    linearize,
     make_params,
     run,
     scaled_residual_norm,
     solve_step,
     step_energy,
-    step_jacobian_action,
     step_residual,
 )
+from shallowice.operators import evaluate, linearize, step_jacobian_action
+from shallowice.solver import NumericalBreakdown, inner_linear_solve
 
 from conftest import make_problem, random_state, zero_boundary
 
@@ -138,7 +136,7 @@ def test_solution_boundary_zero_and_finite(mesh5):
 def test_inner_solve_zero_rhs(mesh5):
     prob = make_problem(mesh5, seed=26)
     rng = np.random.default_rng(27)
-    jac = linearize(prob, random_state(mesh5, rng, lo=0.3))
+    jac = linearize(prob, evaluate(prob, random_state(mesh5, rng, lo=0.3)))
     out = inner_linear_solve(lambda w: step_jacobian_action(jac, w),
                              np.zeros(mesh5.n_nodes), jac.diag, 1e-8, 100)
     assert np.array_equal(out, np.zeros(mesh5.n_nodes))
@@ -147,7 +145,7 @@ def test_inner_solve_zero_rhs(mesh5):
 def test_inner_solve_matches_dense_factorization(mesh3):
     prob = make_problem(mesh3, p=2.0, delta=0.0, seed=28)
     rng = np.random.default_rng(29)
-    jac = linearize(prob, random_state(mesh3, rng, lo=0.3))
+    jac = linearize(prob, evaluate(prob, random_state(mesh3, rng, lo=0.3)))
     n = mesh3.n_nodes
     action = lambda w: step_jacobian_action(jac, w)
     J = np.zeros((n, n))
@@ -169,7 +167,7 @@ def test_inner_solve_diagonal_dominant_limit(mesh5):
     # essentially the diagonally preconditioned right-hand side
     prob = make_problem(mesh5, ell=1e-12, seed=30)
     rng = np.random.default_rng(31)
-    jac = linearize(prob, random_state(mesh5, rng, lo=0.5))
+    jac = linearize(prob, evaluate(prob, random_state(mesh5, rng, lo=0.5)))
     diag = jac.diag
     rhs = zero_boundary(mesh5, rng.uniform(-1, 1, mesh5.n_nodes))
     got = inner_linear_solve(lambda w: step_jacobian_action(jac, w),
@@ -231,6 +229,37 @@ def test_result_residual_matches_recomputation(mesh5):
     result = solve_step(prob)
     res = scaled_residual_norm(prob, step_residual(prob, result.u_next))
     assert res == pytest.approx(result.final_residual, rel=1e-12, abs=1e-15)
+    assert result.final_energy == step_energy(prob, result.u_next)
+
+
+def test_solve_step_evaluates_each_point_once(monkeypatch):
+    # one evaluation for the start and one per line-search trial, each
+    # with a single gradient pass; linearize reuses the accepted point
+    import shallowice.operators as operators
+    import shallowice.solver as solver
+
+    mesh = build_mesh(9, 9, 1.0, 1.0)
+    H0 = initial_thickness_field("dome", 1.0, mesh)
+    params = make_params(mesh, 3.0, MeltForcing(-2.0), H0=H0, mu=1.0)
+    grid = TimeGrid(2.0, 2)
+    prob = StepProblem(mesh=mesh, params=params, u_prev=params.u0,
+                       a_bar=average_forcing(params.forcing, 0, grid, mesh),
+                       ell=grid.ell, kappa=1e-3)
+    calls = {"evaluate": 0, "gradients": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "evaluate", counted("evaluate", solver.evaluate))
+    monkeypatch.setattr(operators, "triangle_gradients",
+                        counted("gradients", operators.triangle_gradients))
+    result = solve_step(prob)
+    assert result.iterations > 0 and result.backtracks > 0
+    assert calls["evaluate"] == 1 + result.iterations + result.backtracks
+    assert calls["gradients"] == calls["evaluate"]
 
 
 def test_flat_triangles_below_p2_converge(mesh9):

@@ -2,25 +2,23 @@ import numpy as np
 import pytest
 
 from shallowice import (
-    CallableForcing,
     ConstantForcing,
-    LinearForcing,
     MarchError,
     MeltForcing,
     SolverConfig,
     StepProblem,
     TimeGrid,
     average_forcing,
-    difference_quotient,
     initial_thickness_field,
-    interpolant_value,
     make_params,
     run,
     scaled_residual_norm,
-    signed_power,
     solve_step,
     step_residual,
 )
+from shallowice.forcing import CallableForcing, LinearForcing
+from shallowice.physics import signed_power
+from shallowice.timestep import difference_quotient, interpolant_value
 
 
 def dome_params(mesh, forcing=None, amp=1.0, mu=0.05):

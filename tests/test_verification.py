@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from shallowice import (
-    SolverConfig,
-    build_mesh,
+from shallowice import SolverConfig, build_mesh, solve_step
+from shallowice.verification import (
+    MmsCase,
+    brute_force_step_oracle,
     lemma_inequality_suite,
     mms_error,
     mms_forcing,
-    solve_step,
 )
-from shallowice.verification import MmsCase, brute_force_step_oracle
 
 from conftest import make_problem
 
