@@ -17,6 +17,5 @@ from .operators import StepProblem, scaled_residual_norm, step_energy, step_resi
 from .physics import PhysicalParams, diagnostic_flux, make_params, thickness_from_u
 from .snapshots import write_snapshot
 from .solver import NonConvergence, SolverConfig, SolverError, solve_step
+from .timestep import VERSION as __version__
 from .timestep import MarchError, TimeGrid, average_forcing, run
-
-__version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from .config import ConfigError, build_setup, load_config
 from .forcing import ConstantForcing
 from .mesh import build_mesh
 from .monitors import compute_monitors, kappa_sweep
-from .physics import make_params, thickness_from_u
+from .physics import PhysicalRangeWarning, make_params, thickness_from_u
 from .snapshots import (
     read_run_metadata,
     read_states_csv,
@@ -217,7 +218,7 @@ def _cmd_verify(args) -> int:
 
     print("step-solver vs brute-force oracle:")
     from .operators import StepProblem
-    from .solver import SolverConfig, solve_step
+    from .solver import solve_step
 
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -229,12 +230,15 @@ def _cmd_verify(args) -> int:
             u_prev = rng.uniform(0.0, 2.0, mesh.n_nodes)
             u_prev[mesh.boundary_mask] = 0.0
             a_bar = rng.uniform(-2.0, 2.0, mesh.n_nodes)
-            params = make_params(mesh, p, ConstantForcing(0.0), u0=u_prev,
-                                 mu=rng.uniform(0.5, 2.0))
+            # p = 2 (the linear case) lies outside the suggested Glen range
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PhysicalRangeWarning)
+                params = make_params(mesh, p, ConstantForcing(0.0), u0=u_prev,
+                                     mu=rng.uniform(0.5, 2.0))
             problem = StepProblem(mesh=mesh, params=params, u_prev=u_prev,
                                   a_bar=a_bar, ell=0.1, kappa=kappa)
             expected = brute_force_step_oracle(problem)
-            got = solve_step(problem, SolverConfig()).u_next
+            got = solve_step(problem).u_next
             worst = max(worst, float(np.max(np.abs(expected - got))))
             cases += 1
     print(f"  {cases} cases, max state distance = {worst:.3e}")
@@ -260,13 +264,11 @@ def _cmd_monitors(args) -> int:
     # monitors are independent of the forcing and of mu; rebuild placeholders
     params = make_params(mesh, meta["physics"]["p"], ConstantForcing(0.0),
                          u0=states[0], mu=meta["physics"]["mu1"])
-    from .solver import SolverConfig
-
     traj = Trajectory(
         states=states, step_diagnostics=[], time_grid=grid, mesh=mesh,
         params=params, kappa=meta["penalty"]["kappa"],
         delta=meta["penalty"]["delta"], eps=meta["penalty"]["eps"],
-        solver_config=SolverConfig(**meta["solver"]), run_metadata=meta,
+        run_metadata=meta,
     )
     record = compute_monitors(traj, traj.kappa)
     write_monitors_csv(record, outdir / "monitors_recomputed.csv", metadata=meta)

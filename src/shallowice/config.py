@@ -15,6 +15,7 @@ import numpy as np
 
 from . import forcing as forcing_mod
 from .mesh import StructuredMesh, build_mesh
+from .operators import DEFAULT_DELTA, DEFAULT_EPS
 from .physics import PhysicalParams, make_params
 from .solver import SolverConfig
 from .timestep import TimeGrid
@@ -149,7 +150,8 @@ def parse_config(text: str) -> RunConfig:
 
     Sections: domain {Lx, Ly, nx, ny}; time {T, N}; physics {p, rho_g,
     A_const, mu?}; penalty {kappa, delta?, eps?}; forcing {preset, ...};
-    initial {preset, amplitude} or {csv}; solver {...?}; output {...?}.
+    initial {preset, amplitude} or {csv}; solver {tol_residual?,
+    max_newton?, cg_tol?}; output {directory?, stride?, formats?}.
     Solver, regularization, and output fields have defaults; everything
     physical is required.
     """
@@ -197,9 +199,9 @@ def parse_config(text: str) -> RunConfig:
     pen = _Section("penalty", top.require("penalty", dict))
     penalty = {
         "kappa": pen.require("kappa", float, lambda v: v > 0, "must be positive"),
-        "delta": pen.optional("delta", float, 1e-8, lambda v: v >= 0,
+        "delta": pen.optional("delta", float, DEFAULT_DELTA, lambda v: v >= 0,
                               "must be nonnegative"),
-        "eps": pen.optional("eps", float, 1e-10, lambda v: v >= 0,
+        "eps": pen.optional("eps", float, DEFAULT_EPS, lambda v: v >= 0,
                             "must be nonnegative"),
     }
     pen.reject_unknown()
@@ -246,14 +248,8 @@ def parse_config(text: str) -> RunConfig:
                                      lambda v: v > 0, "must be positive"),
         "max_newton": sol.optional("max_newton", int, defaults.max_newton,
                                    lambda v: v >= 1, "must be at least 1"),
-        "max_backtrack": sol.optional("max_backtrack", int, defaults.max_backtrack,
-                                      lambda v: v >= 1, "must be at least 1"),
-        "armijo_c": sol.optional("armijo_c", float, defaults.armijo_c,
-                                 lambda v: 0 < v < 1, "must lie in (0, 1)"),
         "cg_tol": sol.optional("cg_tol", float, defaults.cg_tol,
                                lambda v: v > 0, "must be positive"),
-        "cg_max": sol.optional("cg_max", int, defaults.cg_max,
-                               lambda v: v >= 1, "must be at least 1"),
     }
     sol.reject_unknown()
 

@@ -39,9 +39,6 @@ class ConstantForcing:
     value: float
     quadrature = "exact"
 
-    def evaluate(self, mesh, t):
-        return np.full(mesh.n_nodes, self.value)
-
     def slab_average(self, mesh, t0, t1):
         return np.full(mesh.n_nodes, self.value)
 
@@ -56,9 +53,6 @@ class LinearForcing:
     a0: float
     a1: float
     quadrature = "exact"
-
-    def evaluate(self, mesh, t):
-        return np.full(mesh.n_nodes, self.a0 + self.a1 * t)
 
     def slab_average(self, mesh, t0, t1):
         return np.full(mesh.n_nodes, self.a0 + self.a1 * 0.5 * (t0 + t1))
@@ -84,9 +78,6 @@ class SeasonalForcing:
     def _wave(self, t):
         return np.sin(2.0 * np.pi * t / self.period)
 
-    def evaluate(self, mesh, t):
-        return self.base + self.amplitude * self._wave(t) * poly_bump(mesh)
-
     def slab_average(self, mesh, t0, t1):
         mid, half = 0.5 * (t0 + t1), (t1 - t0) * _GAUSS2
         wave = 0.5 * (self._wave(mid - half) + self._wave(mid + half))
@@ -111,9 +102,6 @@ class MeltForcing:
     def __post_init__(self):
         if not self.rate < 0:
             raise ValueError(f"melt rate must be negative, got {self.rate}")
-
-    def evaluate(self, mesh, t):
-        return np.full(mesh.n_nodes, self.rate)
 
     def slab_average(self, mesh, t0, t1):
         return np.full(mesh.n_nodes, self.rate)

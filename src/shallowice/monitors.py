@@ -14,11 +14,12 @@ vanishing of the negative part as the penalty tightens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .mesh import StructuredMesh, triangle_gradients
+from .operators import DEFAULT_DELTA, DEFAULT_EPS
 from .physics import flux_weight, neg_part, signed_power
 from .timestep import MarchError, SolverConfig, TimeGrid, Trajectory, average_forcing, run
 
@@ -82,13 +83,8 @@ class MonitorRecord:
     sc2_prime_value: float
     neg_norm: float
 
-    FIELDS = (
-        "est1", "est2", "est3", "est3_1", "est4", "est5_1",
-        "pen_sum", "sc1_value", "sc1_prime_ok", "sc2_prime_value", "neg_norm",
-    )
-
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return asdict(self)
 
 
 def check_sc1(traj: Trajectory, kappa: float) -> float:
@@ -101,17 +97,18 @@ def check_sc1(traj: Trajectory, kappa: float) -> float:
     return total / kappa
 
 
-def check_sc1_prime(traj: Trajectory, tol: float = SC1_PRIME_TOL):
+def check_sc1_prime(traj: Trajectory):
     """Nodewise check that the negative part never shrinks between steps.
 
     A true flag is the computable signature of a monotonically deepening
     constraint violation (nothing that has gone below the obstacle comes
-    back up).  Returns (flag, first violating step index or None).
+    back up); a shrink by at most SC1_PRIME_TOL is ignored.  Returns
+    (flag, first violating step index or None).
     """
     prev = neg_part(traj.states[0])
     for n in range(traj.N):
         cur = neg_part(traj.states[n + 1])
-        if np.any(cur < prev - tol):
+        if np.any(cur < prev - SC1_PRIME_TOL):
             return False, n
         prev = cur
     return True, None
@@ -273,8 +270,8 @@ def kappa_sweep(
     solver_config: SolverConfig | None,
     kappa_list,
     *,
-    delta: float = 1e-8,
-    eps: float = 1e-10,
+    delta: float = DEFAULT_DELTA,
+    eps: float = DEFAULT_EPS,
 ) -> SweepResult:
     """Integrate the same configuration for a decreasing list of penalties.
 

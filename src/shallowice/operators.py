@@ -50,6 +50,10 @@ __all__ = [
     "scaled_residual_norm",
 ]
 
+# default regularizations of the p-Laplacian weight and of the power slope
+DEFAULT_DELTA = 1e-8
+DEFAULT_EPS = 1e-10
+
 # at eps = 0 the power slope (alpha-1)|u|^(alpha-2) is unbounded at u = 0;
 # the Jacobian evaluates it at |u| >= SINGULAR_STATE
 SINGULAR_STATE = 1e-14
@@ -72,8 +76,8 @@ class StepProblem:
     a_bar: np.ndarray
     ell: float
     kappa: float
-    delta: float = 1e-8
-    eps: float = 1e-10
+    delta: float = DEFAULT_DELTA
+    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         if not self.ell > 0:

@@ -38,6 +38,11 @@ __all__ = [
     "solve_step",
 ]
 
+# fixed line-search and inner-solve controls
+ARMIJO_C = 1e-4
+MAX_BACKTRACK = 40
+CG_MAX = 1500
+
 
 class SolverError(RuntimeError):
     """Base class for step-solver failures."""
@@ -63,25 +68,23 @@ class NumericalBreakdown(SolverError):
 class SolverConfig:
     """Tolerances and caps for solve_step.
 
-    tol_residual bounds the mass-scaled residual max-norm max_i |F_i|/m_i.
+    tol_residual bounds the mass-scaled residual max-norm max_i |F_i|/m_i,
+    max_newton caps the Newton iterates of one step and cg_tol is the
+    relative residual of the inner solve.  The Armijo constant and the
+    backtrack and CG caps are the fixed module constants above.
     """
 
     tol_residual: float = 1e-10
     max_newton: int = 60
-    max_backtrack: int = 40
-    armijo_c: float = 1e-4
     cg_tol: float = 1e-6
-    cg_max: int = 1500
 
     def __post_init__(self):
         if not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not self.cg_tol > 0 or self.cg_max < 1:
-            raise ValueError("invalid inner-solve controls")
+        if not self.cg_tol > 0:
+            raise ValueError("cg_tol must be positive")
 
 
 @dataclass
@@ -186,7 +189,7 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
         jac = linearize(problem, point)
         direction = inner_linear_solve(
             lambda w: step_jacobian_action(jac, w),
-            -point.residual, jac.diag, cfg.cg_tol, cfg.cg_max,
+            -point.residual, jac.diag, cfg.cg_tol, CG_MAX,
         )
         slope = float(point.residual @ direction)
         if not slope < 0.0:
@@ -201,11 +204,11 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
         # measurable drop of the residual norm (which stays resolvable).
         noise = 64.0 * np.finfo(float).eps * max(abs(point.energy), 1.0)
         t = 1.0
-        for _ in range(cfg.max_backtrack):
+        for _ in range(MAX_BACKTRACK):
             trial = evaluate(problem, point.u + t * direction)
             if np.isfinite(trial.energy) and trial.energy <= point.energy + noise:
                 res_trial = scaled_residual_norm(problem, trial.residual)
-                if (trial.energy <= point.energy + cfg.armijo_c * t * slope
+                if (trial.energy <= point.energy + ARMIJO_C * t * slope
                         or res_trial <= cfg.tol_residual
                         or res_trial < res * (1.0 - 1e-9)):
                     break

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .mesh import StructuredMesh
-from .operators import StepProblem
+from .operators import DEFAULT_DELTA, DEFAULT_EPS, StepProblem
 from .physics import PhysicalParams
 from .solver import SolverConfig, SolverError, StepResult, solve_step
 
@@ -65,7 +65,6 @@ class Trajectory:
     kappa: float
     delta: float
     eps: float
-    solver_config: SolverConfig
     run_metadata: dict = field(default_factory=dict)
 
     @property
@@ -117,33 +116,21 @@ def run(
     kappa: float,
     solver_config: SolverConfig | None = None,
     *,
-    delta: float = 1e-8,
-    eps: float = 1e-10,
-    start_index: int = 0,
-    start_state: np.ndarray | None = None,
-    stop_index: int | None = None,
+    delta: float = DEFAULT_DELTA,
+    eps: float = DEFAULT_EPS,
 ) -> Trajectory:
-    """March the implicit scheme from u^start to u^stop.
+    """March the implicit scheme over the whole horizon, u^0 .. u^N.
 
-    Defaults integrate the whole horizon from params.u0.  Each step is
-    warm-started from the previous state; on a step failure a MarchError
-    carrying the partial trajectory is raised.  start_index/start_state and
-    stop_index exist for restart workflows and leave the slab clock on the
-    global grid.
+    u^0 is params.u0.  Each step is warm-started from the previous state;
+    on a step failure a MarchError carrying the partial trajectory is
+    raised.
     """
     cfg = solver_config or SolverConfig()
-    stop = time_grid.N if stop_index is None else int(stop_index)
-    if not 0 <= start_index < stop <= time_grid.N:
-        raise ValueError(f"bad step range [{start_index}, {stop}]")
-    u0 = params.u0 if start_state is None else np.asarray(start_state, dtype=float)
-
-    states = [u0.copy()]
+    states = [params.u0.copy()]
     diags: list[StepResult] = []
     meta = _metadata(mesh, params, time_grid, kappa, delta, eps, cfg)
-    meta["start_index"] = start_index
-    meta["stop_index"] = stop
 
-    for n in range(start_index, stop):
+    for n in range(time_grid.N):
         a_bar = average_forcing(params.forcing, n, time_grid, mesh)
         problem = StepProblem(
             mesh=mesh, params=params, u_prev=states[-1], a_bar=a_bar,
@@ -155,7 +142,7 @@ def run(
             partial = Trajectory(
                 states=states, step_diagnostics=diags, time_grid=time_grid,
                 mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
-                solver_config=cfg, run_metadata=meta,
+                run_metadata=meta,
             )
             raise MarchError(n, partial, err) from err
         states.append(result.u_next)
@@ -164,7 +151,7 @@ def run(
     return Trajectory(
         states=states, step_diagnostics=diags, time_grid=time_grid,
         mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
-        solver_config=cfg, run_metadata=meta,
+        run_metadata=meta,
     )
 
 

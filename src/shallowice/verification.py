@@ -147,12 +147,11 @@ def _case_params(case: MmsCase, mesh: StructuredMesh, p: float, mu: float):
 
 
 def mms_error(case: MmsCase, mesh: StructuredMesh, p: float, mu: float,
-              N: int, kappa: float, solver_config=None,
-              delta: float = 1e-8, eps: float = 1e-10) -> float:
+              N: int, kappa: float, solver_config=None) -> float:
     """max_n of the lumped L2 distance between the march and the closed form."""
     grid = TimeGrid(case.T, N)
     params = _case_params(case, mesh, p, mu)
-    traj = run(mesh, params, grid, kappa, solver_config, delta=delta, eps=eps)
+    traj = run(mesh, params, grid, kappa, solver_config)
     m = mesh.lumped_mass
     worst = 0.0
     for n, u in enumerate(traj.states):
@@ -216,6 +215,10 @@ def mms_convergence(case: MmsCase, p: float, mu: float, mesh_list, N_list,
 # --- brute-force step oracle -------------------------------------------------
 
 MAX_ORACLE_INTERIOR = 9
+# scaled residual the oracle must reach, and its iteration caps
+ORACLE_TOL = 1e-11
+ORACLE_GD_ITERS = 4000
+ORACLE_MAX_SWEEPS = 2000
 
 
 def _component_residual(problem: StepProblem, u, node, incident, grad_i, c):
@@ -245,15 +248,15 @@ def _component_residual(problem: StepProblem, u, node, incident, grad_i, c):
     )
 
 
-def brute_force_step_oracle(problem: StepProblem, tol: float = 1e-11,
-                            gd_iters: int = 4000, max_sweeps: int = 2000) -> np.ndarray:
+def brute_force_step_oracle(problem: StepProblem) -> np.ndarray:
     """Minimize the step energy without Newton or Krylov machinery.
 
     Phase one is plain gradient descent with halving steps on the energy;
     phase two polishes with cyclic coordinatewise bisection on the residual
-    components, which are monotone in the nodal value by convexity.  Only
-    meant for tiny problems (at most 9 interior nodes); the march solver is
-    validated against this routine.
+    components, which are monotone in the nodal value by convexity, until
+    the scaled residual is at most ORACLE_TOL.  Only meant for tiny
+    problems (at most MAX_ORACLE_INTERIOR interior nodes); the march solver
+    is validated against this routine.
     """
     mesh = problem.mesh
     if mesh.n_interior > MAX_ORACLE_INTERIOR:
@@ -272,7 +275,7 @@ def brute_force_step_oracle(problem: StepProblem, tol: float = 1e-11,
 
     step = 1.0
     energy = step_energy(problem, u)
-    for _ in range(gd_iters):
+    for _ in range(ORACLE_GD_ITERS):
         F = step_residual(problem, u)
         if scaled_residual_norm(problem, F) <= 1e-7:
             break
@@ -288,7 +291,7 @@ def brute_force_step_oracle(problem: StepProblem, tol: float = 1e-11,
         else:
             break
 
-    for _ in range(max_sweeps):
+    for _ in range(ORACLE_MAX_SWEEPS):
         for node in free:
             tri_ids, local = incident[node]
             fun = lambda c: _component_residual(problem, u, node, tri_ids, local, c)
@@ -313,12 +316,15 @@ def brute_force_step_oracle(problem: StepProblem, tol: float = 1e-11,
                     hi = mid
             u[node] = 0.5 * (lo + hi)
         F = step_residual(problem, u)
-        if scaled_residual_norm(problem, F) <= tol:
+        if scaled_residual_norm(problem, F) <= ORACLE_TOL:
             return u
     raise RuntimeError("oracle failed to reach its residual tolerance")
 
 
 # --- pointwise inequality suites ---------------------------------------------
+
+LEMMA_REL_SLACK = 1e-12
+
 
 @dataclass
 class LemmaEntry:
@@ -348,8 +354,7 @@ class LemmaReport:
         return "\n".join(lines)
 
 
-def lemma_inequality_suite(sample_count: int = 100_000, seed: int = 0,
-                           rel_slack: float = 1e-12) -> LemmaReport:
+def lemma_inequality_suite(sample_count: int = 100_000, seed: int = 0) -> LemmaReport:
     """Random sampling of the scalar inequalities behind the monitors.
 
     Checked on samples in [-1e3, 1e3] (nonnegative where required):
@@ -361,7 +366,7 @@ def lemma_inequality_suite(sample_count: int = 100_000, seed: int = 0,
         with psi_r(x) = |x|^((r-2)/2) x; only positivity of the empirical
         ratio is certified since no explicit constant is available.
 
-    Violations are counted against a relative slack.
+    Violations are counted against the relative slack LEMMA_REL_SLACK.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -371,7 +376,7 @@ def lemma_inequality_suite(sample_count: int = 100_000, seed: int = 0,
 
     def tally(name, lhs, rhs):
         # inequality lhs <= rhs with relative slack
-        slack = rel_slack * np.maximum(np.abs(lhs), np.abs(rhs))
+        slack = LEMMA_REL_SLACK * np.maximum(np.abs(lhs), np.abs(rhs))
         margin = lhs - rhs
         bad = margin > slack
         entries.append(LemmaEntry(

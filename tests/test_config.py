@@ -156,9 +156,14 @@ def test_solver_overrides():
     config = parse_config(json.dumps(doc))
     assert config.solver["tol_residual"] == 1e-8
     assert config.solver["max_newton"] == 10
-    doc = minimal_config(solver={"armijo_c": 2.0})
-    with pytest.raises(ValidationError, match="solver.armijo_c"):
+    doc = minimal_config(solver={"cg_tol": 0.0})
+    with pytest.raises(ValidationError, match="solver.cg_tol: must be positive"):
         parse_config(json.dumps(doc))
+    # the Armijo constant and the backtrack and CG caps are fixed in the solver
+    for key, value in (("cg_max", 1500), ("max_backtrack", 40), ("armijo_c", 1e-4)):
+        doc = minimal_config(solver={key: value})
+        with pytest.raises(ValidationError, match=f"solver.{key}: unknown key"):
+            parse_config(json.dumps(doc))
 
 
 def test_output_format_validation():

@@ -93,7 +93,7 @@ def test_monitors_csv_zero_record(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("est1,")
     cells = lines[1].split(",")
-    assert cells[MonitorRecord.FIELDS.index("sc1_prime_ok")] == "1"
+    assert cells[list(record.as_dict()).index("sc1_prime_ok")] == "1"
     assert all(c in ("0.0", "1") for c in cells)
 
 

@@ -221,7 +221,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_newton=0)
     with pytest.raises(ValueError):
-        SolverConfig(armijo_c=1.5)
+        SolverConfig(cg_tol=0.0)
 
 
 def test_result_residual_matches_recomputation(mesh5):
