@@ -21,6 +21,7 @@ from .mesh import build_mesh
 from .monitors import compute_monitors, kappa_sweep
 from .physics import PhysicalRangeWarning, make_params, thickness_from_u
 from .snapshots import (
+    SnapshotText,
     read_run_metadata,
     read_states_csv,
     write_monitors_csv,
@@ -86,7 +87,10 @@ def _write_run_outputs(setup, traj, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     meta = traj.run_metadata
     write_run_metadata(meta, outdir / "run_metadata.json")
-    write_states_csv(traj.states, outdir / "states.csv", metadata=meta)
+    # each state is formatted once, by states.csv, and its snapshots reuse it
+    text = SnapshotText(setup.mesh, meta)
+    states = [text.field(u) for u in traj.states]
+    write_states_csv(states, outdir / "states.csv", metadata=meta)
     record = compute_monitors(traj, setup.kappa)
     write_monitors_csv(record, outdir / "monitors.csv", metadata=meta)
 
@@ -95,11 +99,12 @@ def _write_run_outputs(setup, traj, outdir: Path):
     indices = sorted(set(range(0, traj.N + 1, stride)) | {traj.N})
     for n in indices:
         for fmt in formats:
-            write_snapshot(traj.states[n], setup.mesh,
+            write_snapshot(states[n], setup.mesh,
                            outdir / f"u_{n:06d}.{fmt}", fmt, name="u",
                            metadata=meta)
     # clip penalty-scale violations before the power transform
-    H_final = thickness_from_u(np.maximum(traj.states[-1], 0.0), setup.params.p)
+    H_final = text.field(
+        thickness_from_u(np.maximum(traj.states[-1], 0.0), setup.params.p))
     for fmt in formats:
         write_snapshot(H_final, setup.mesh, outdir / f"H_final.{fmt}", fmt,
                        name="H", metadata=meta)
@@ -256,19 +261,26 @@ def _cmd_monitors(args) -> int:
     if not meta_path.exists() or not states_path.exists():
         print(f"{outdir} lacks run_metadata.json/states.csv", file=sys.stderr)
         return 2
-    meta = read_run_metadata(meta_path)
-    states = read_states_csv(states_path)
-    dom = meta["domain"]
-    mesh = build_mesh(dom["nx"], dom["ny"], dom["Lx"], dom["Ly"])
-    grid = TimeGrid(meta["time"]["T"], meta["time"]["N"])
+    try:
+        meta = read_run_metadata(meta_path)
+        states = read_states_csv(states_path)
+        dom, phys, pen = meta["domain"], meta["physics"], meta["penalty"]
+        mesh = build_mesh(dom["nx"], dom["ny"], dom["Lx"], dom["Ly"])
+        grid = TimeGrid(meta["time"]["T"], meta["time"]["N"])
+        p, mu, kappa, delta, eps = (phys["p"], phys["mu1"], pen["kappa"],
+                                    pen["delta"], pen["eps"])
+    except (ValueError, KeyError, TypeError) as err:
+        print(f"{outdir}: cannot read the saved run: {err!r}", file=sys.stderr)
+        return 2
+    if len(states) != grid.N + 1 or any(u.shape != (mesh.n_nodes,) for u in states):
+        print(f"{outdir}: states.csv needs {grid.N + 1} rows of {mesh.n_nodes} "
+              f"values, as run_metadata.json says", file=sys.stderr)
+        return 2
     # monitors are independent of the forcing and of mu; rebuild placeholders
-    params = make_params(mesh, meta["physics"]["p"], ConstantForcing(0.0),
-                         u0=states[0], mu=meta["physics"]["mu1"])
+    params = make_params(mesh, p, ConstantForcing(0.0), u0=states[0], mu=mu)
     traj = Trajectory(
         states=states, step_diagnostics=[], time_grid=grid, mesh=mesh,
-        params=params, kappa=meta["penalty"]["kappa"],
-        delta=meta["penalty"]["delta"], eps=meta["penalty"]["eps"],
-        run_metadata=meta,
+        params=params, kappa=kappa, delta=delta, eps=eps, run_metadata=meta,
     )
     record = compute_monitors(traj, traj.kappa)
     write_monitors_csv(record, outdir / "monitors_recomputed.csv", metadata=meta)

@@ -298,7 +298,7 @@ def initial_thickness_field(kind: str, amplitude: float, mesh: StructuredMesh) -
     raise ValidationError("initial.preset", f"must be one of {INITIAL_PRESETS}")
 
 
-def _build_forcing(spec: dict, base_dir: Path):
+def _build_forcing(spec: dict, base_dir: Path, mesh: StructuredMesh):
     preset = spec["preset"]
     if preset == "constant":
         return forcing_mod.ConstantForcing(spec["value"])
@@ -313,9 +313,15 @@ def _build_forcing(spec: dict, base_dir: Path):
         path = base_dir / spec["csv"]
         try:
             table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+            forcing = forcing_mod.GriddedForcing(table[:, 0], table[:, 1:])
         except OSError as err:
             raise ValidationError("forcing.csv", f"cannot read {path}: {err}")
-        return forcing_mod.GriddedForcing(table[:, 0], table[:, 1:])
+        except ValueError as err:
+            raise ValidationError("forcing.csv", f"malformed {path}: {err}")
+        if forcing.values.shape[1] != mesh.n_nodes:
+            raise ValidationError("forcing.csv", f"malformed {path}: needs "
+                                  f"{mesh.n_nodes} nodal values after the time")
+        return forcing
     raise ValidationError("forcing.preset", "unsupported preset")
 
 
@@ -352,13 +358,15 @@ def build_setup(config: RunConfig, base_dir=".") -> RunSetup:
             mu = np.loadtxt(path, comments="#")
         except OSError as err:
             raise ValidationError("physics.mu", f"cannot read {path}: {err}")
+        except ValueError as err:
+            raise ValidationError("physics.mu", f"malformed {path}: {err}")
         if mu.shape != (mesh.n_triangles,):
             raise ValidationError(
                 "physics.mu",
                 f"needs {mesh.n_triangles} per-triangle values, got {mu.shape}",
             )
 
-    forcing = _build_forcing(config.forcing, base_dir)
+    forcing = _build_forcing(config.forcing, base_dir, mesh)
 
     if "csv" in config.initial:
         from .snapshots import read_field_csv
@@ -368,6 +376,8 @@ def build_setup(config: RunConfig, base_dir=".") -> RunSetup:
             H0 = read_field_csv(path, mesh)
         except OSError as err:
             raise ValidationError("initial.csv", f"cannot read {path}: {err}")
+        except ValueError as err:
+            raise ValidationError("initial.csv", f"malformed {path}: {err}")
         if np.any(H0 < 0):
             raise ValidationError("initial.csv", "thickness must be nonnegative")
     else:

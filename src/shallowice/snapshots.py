@@ -4,11 +4,22 @@ tables, and full trajectory state dumps.
 Decimal output uses Python's shortest round-trip float representation, so
 writing and re-reading a field reproduces it bit for bit.  Every file can
 carry the resolved run settings in '#' comment lines.
+
+A run writes each state to `states.csv` and to its CSV and VTK snapshots,
+and formats it once: `SnapshotText` holds the text those files share (the
+metadata line, the CSV 'x,y,' node prefixes, the VTK header), and the
+`FieldText` it makes of a state formats the values into one comma-joined
+row when a writer first needs them.  `states.csv` streams that row, a CSV
+snapshot zips it with the node prefixes, and a VTK body puts one value on
+each line.  The writers also take plain numeric arrays, with the same
+bytes.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +28,8 @@ from .mesh import StructuredMesh
 from .monitors import MonitorRecord
 
 __all__ = [
+    "SnapshotText",
+    "FieldText",
     "write_snapshot",
     "read_field_csv",
     "write_monitors_csv",
@@ -43,7 +56,71 @@ def _metadata_lines(metadata: dict | None) -> list[str]:
     return ["# " + json.dumps(metadata, sort_keys=True)]
 
 
-def write_snapshot(field: np.ndarray, mesh: StructuredMesh, path, fmt: str,
+class SnapshotText:
+    """The text shared by the snapshots of one mesh and one metadata dict.
+
+    Each part is built on first use and reused by every file written from
+    the FieldTexts that `field` returns.
+    """
+
+    def __init__(self, mesh: StructuredMesh, metadata: dict | None = None):
+        self.mesh = mesh
+        self.metadata = metadata
+
+    def field(self, values) -> FieldText:
+        return FieldText(self, values)
+
+    @cached_property
+    def csv_head(self) -> str:
+        """Optional '#' metadata line and the 'x,y,value' header."""
+        return "".join(line + "\n" for line in _metadata_lines(self.metadata)) + "x,y,value\n"
+
+    @cached_property
+    def csv_prefixes(self) -> list[str]:
+        """'x,y,' of every node, row-major."""
+        xs = _fmt_array(self.mesh.nodes[:, 0])
+        ys = _fmt_array(self.mesh.nodes[:, 1])
+        return [f"{x},{y}," for x, y in zip(xs, ys)]
+
+    @cached_property
+    def vtk_head(self) -> str:
+        """Every VTK header line before the SCALARS line."""
+        mesh = self.mesh
+        hx, hy = mesh.spacing
+        title = "shallowice snapshot"
+        if self.metadata:
+            title = ("shallowice " + json.dumps(self.metadata, sort_keys=True))[:255]
+        return (
+            f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+            f"DATASET STRUCTURED_POINTS\nDIMENSIONS {mesh.nx} {mesh.ny} 1\n"
+            f"ORIGIN 0 0 0\nSPACING {_fmt(hx)} {_fmt(hy)} 1\n"
+            f"POINT_DATA {mesh.n_nodes}\n"
+        )
+
+
+class FieldText:
+    """One nodal field bound to a SnapshotText.
+
+    `row` is the comma-joined shortest round-trip decimals of the values,
+    formatted once, when a writer first reads it.
+    """
+
+    def __init__(self, text: SnapshotText, values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (text.mesh.n_nodes,):
+            raise ValueError(f"field must have {text.mesh.n_nodes} nodal values")
+        self.text = text
+        self.values = values
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    @cached_property
+    def row(self) -> str:
+        return ",".join(_fmt_array(self.values))
+
+
+def write_snapshot(field, mesh: StructuredMesh, path, fmt: str,
                    name: str = "u", metadata: dict | None = None) -> None:
     """Write one nodal field.
 
@@ -51,38 +128,25 @@ def write_snapshot(field: np.ndarray, mesh: StructuredMesh, path, fmt: str,
     in row-major order, shortest round-trip decimals.  VTK: legacy ASCII
     structured points with DIMENSIONS nx ny 1, ORIGIN 0 0 0, SPACING
     Lx/(nx-1) Ly/(ny-1) 1, and a single SCALARS field.
+
+    field: nodal values, or a FieldText of a SnapshotText built from this
+    mesh and metadata (the same objects), whose text is then reused.
     """
-    field = np.asarray(field, dtype=float)
-    if field.shape != (mesh.n_nodes,):
-        raise ValueError(f"field must have {mesh.n_nodes} nodal values")
+    if isinstance(field, FieldText):
+        if field.text.mesh is not mesh or field.text.metadata is not metadata:
+            raise ValueError("a FieldText must be written with the mesh and "
+                             "metadata of its SnapshotText")
+    else:
+        field = SnapshotText(mesh, metadata).field(field)
+    text = field.text
     path = Path(path)
     try:
         if fmt == "csv":
-            lines = _metadata_lines(metadata)
-            lines.append("x,y,value")
-            columns = (_fmt_array(mesh.nodes[:, 0]), _fmt_array(mesh.nodes[:, 1]),
-                       _fmt_array(field))
-            lines.extend(map(",".join, zip(*columns)))
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            body = "\n".join(map(operator.add, text.csv_prefixes, field.row.split(",")))
+            path.write_text(text.csv_head + body + "\n", encoding="utf-8")
         elif fmt == "vtk":
-            hx, hy = mesh.spacing
-            title = "shallowice snapshot"
-            if metadata:
-                title = ("shallowice " + json.dumps(metadata, sort_keys=True))[:255]
-            lines = [
-                "# vtk DataFile Version 3.0",
-                title,
-                "ASCII",
-                "DATASET STRUCTURED_POINTS",
-                f"DIMENSIONS {mesh.nx} {mesh.ny} 1",
-                "ORIGIN 0 0 0",
-                f"SPACING {_fmt(hx)} {_fmt(hy)} 1",
-                f"POINT_DATA {mesh.n_nodes}",
-                f"SCALARS {name} double",
-                "LOOKUP_TABLE default",
-            ]
-            lines.extend(_fmt_array(field))
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            head = f"{text.vtk_head}SCALARS {name} double\nLOOKUP_TABLE default\n"
+            path.write_text(head + field.row.replace(",", "\n") + "\n", encoding="utf-8")
         else:
             raise ValueError(f"format must be 'csv' or 'vtk', got {fmt!r}")
     except OSError as err:
@@ -93,16 +157,17 @@ def read_field_csv(path, mesh: StructuredMesh) -> np.ndarray:
     """Read a nodal field written by write_snapshot(..., 'csv')."""
     values = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("x,"):
                 continue
-            values.append(float(line.split(",")[2]))
+            cells = line.split(",")
+            if len(cells) < 3:
+                raise ValueError(f"line {number} has no value column")
+            values.append(float(cells[2]))
     arr = np.array(values)
     if arr.shape != (mesh.n_nodes,):
-        raise ValueError(
-            f"{path}: expected {mesh.n_nodes} data rows, found {arr.size}"
-        )
+        raise ValueError(f"expected {mesh.n_nodes} data rows, found {arr.size}")
     return arr
 
 
@@ -139,12 +204,15 @@ def write_sweep_csv(table: list, path, metadata: dict | None = None) -> None:
 
 
 def write_states_csv(states: list, path, metadata: dict | None = None) -> None:
-    """Dump the full state sequence, one row per time level."""
-    lines = _metadata_lines(metadata)
-    lines.append("step," + ",".join(f"node{i}" for i in range(len(states[0]))))
-    for n, u in enumerate(states):
-        lines.append(str(n) + "," + ",".join(_fmt_array(u)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Dump the full state sequence, one row per time level, streamed to
+    the file row by row.  states: nodal arrays or FieldTexts."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in _metadata_lines(metadata):
+            fh.write(line + "\n")
+        fh.write("step," + ",".join(f"node{i}" for i in range(len(states[0]))) + "\n")
+        for n, u in enumerate(states):
+            row = u.row if isinstance(u, FieldText) else ",".join(_fmt_array(u))
+            fh.write(f"{n},{row}\n")
 
 
 def read_states_csv(path) -> list:

@@ -69,6 +69,28 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert cli(argv) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    # malformed input files named by the config are configuration errors too
+    (tmp_path / "short.csv").write_text("x,y,value\n0.0,0.0,0.0\n", encoding="utf-8")
+    (tmp_path / "novalue.csv").write_text(
+        "x,y,value\n" + "0.0,0.0\n" * 49, encoding="utf-8")
+    (tmp_path / "mu.txt").write_text("0.1\nabc\n", encoding="utf-8")
+    (tmp_path / "ragged.csv").write_text("0.0,1.0,2.0\n1.0,1.0\n", encoding="utf-8")
+    (tmp_path / "nodes.csv").write_text("0.0,1.0,2.0\n1.0,1.0,2.0\n", encoding="utf-8")
+    cases = [
+        ("initial.csv", {"initial": {"csv": "short.csv"}}),
+        ("initial.csv", {"initial": {"csv": "novalue.csv"}}),
+        ("physics.mu", {"physics": {"p": 3.0, "rho_g": 3.0, "A_const": 1.0,
+                                    "mu": "mu.txt"}}),
+        ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "ragged.csv"}}),
+        ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "nodes.csv"}}),
+    ]
+    for fieldname, override in cases:
+        cfg = write_config(tmp_path / "files.json", tmp_path / "out", **override)
+        assert cli(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {fieldname}: malformed" in err
+        assert "Traceback" not in err
+
 
 def test_solver_failure_exit_code(tmp_path, capsys):
     cfg = write_config(
@@ -142,6 +164,58 @@ def test_monitors_recompute(tmp_path):
     redo = read_monitor_row(out / "monitors_recomputed.csv")
     assert orig == redo
     assert cli(["monitors", str(tmp_path / "nothing")]) == 2
+
+
+def test_monitors_rejects_broken_run_dir(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", tmp_path / "out",
+                       initial={"preset": "dome", "amplitude": 0.8})
+    assert cli(["run", str(cfg)]) == 0
+    out = tmp_path / "out"
+    meta = (out / "run_metadata.json").read_text(encoding="utf-8")
+    states = (out / "states.csv").read_text(encoding="utf-8")
+    lines = states.splitlines(keepends=True)
+    broken = {
+        # N = 3 steps, but only 3 of the 4 states
+        "states.csv": ["".join(lines[:-1]),
+                       # one value short in the last row
+                       "".join(lines[:-1]) + lines[-1].rsplit(",", 1)[0] + "\n",
+                       # a non-numeric cell
+                       "".join(lines[:-1]) + lines[-1].replace(",", ",abc,", 1)],
+        "run_metadata.json": [meta[: len(meta) // 2], "[]", "{}"],
+    }
+    for name, texts in broken.items():
+        for text in texts:
+            (out / "run_metadata.json").write_text(meta, encoding="utf-8")
+            (out / "states.csv").write_text(states, encoding="utf-8")
+            (out / name).write_text(text, encoding="utf-8")
+            assert cli(["monitors", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert str(out) in err and "Traceback" not in err
+            assert not (out / "monitors_recomputed.csv").exists()
+
+
+def test_run_formats_each_field_once(tmp_path, monkeypatch):
+    # each state is formatted once for states.csv and both of its
+    # snapshots, H_final once for its two, and each coordinate column once
+    import shallowice.snapshots as snapshots
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return fmt_array(a)
+
+    fmt_array = snapshots._fmt_array
+    monkeypatch.setattr(snapshots, "_fmt_array", counted)
+    N = 4
+    cfg = write_config(tmp_path / "run.json", tmp_path / "out",
+                       initial={"preset": "dome", "amplitude": 0.8},
+                       time={"T": 0.4, "N": N},
+                       output={"directory": str(tmp_path / "out"), "stride": 1,
+                               "formats": ["csv", "vtk"]})
+    assert cli(["run", str(cfg)]) == 0
+    assert len(sorted((tmp_path / "out").glob("u_*"))) == 2 * (N + 1)
+    assert len(calls) == (N + 2) + 2
 
 
 def test_run_melt_writes_clipped_thickness(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from shallowice import build_mesh, write_snapshot
 from shallowice.monitors import MonitorRecord
 from shallowice.snapshots import (
+    SnapshotText,
     read_field_csv,
     read_states_csv,
     write_monitors_csv,
@@ -117,3 +118,36 @@ def test_value_format_is_repr_of_float(tmp_path, mesh3):
     assert state_rows == [f"{n}," + ",".join(repr(float(v)) for v in u)
                           for n, u in enumerate([field, field[::-1]])]
     assert "-0.0" in vtk_values and "5e-324" in vtk_values
+
+
+def test_formatted_field_writes_numeric_bytes(tmp_path, mesh3):
+    # FieldTexts written to every kind of file give the numeric path's bytes
+    field = np.resize(np.array(AWKWARD), mesh3.n_nodes)
+    field[1::2] *= -1.0
+    fields = [field, field[::-1].copy()]
+    for metadata in (None, {"kappa": 1e-3, "p": 3.0}):
+        text = SnapshotText(mesh3, metadata)
+        for kind, values in (("numeric", fields), ("text", [text.field(u) for u in fields])):
+            out = tmp_path / kind
+            out.mkdir(exist_ok=True)
+            for fmt in ("csv", "vtk"):
+                write_snapshot(values[0], mesh3, out / f"H.{fmt}", fmt,
+                               name="H", metadata=metadata)
+            write_states_csv(values, out / "states.csv", metadata=metadata)
+        for name in ("H.csv", "H.vtk", "states.csv"):
+            expected = (tmp_path / "numeric" / name).read_bytes()
+            assert (tmp_path / "text" / name).read_bytes() == expected
+            assert (b'"kappa": 0.001' in expected) == (metadata is not None)
+    assert "5e-324" in (tmp_path / "text" / "H.vtk").read_text()
+
+
+def test_formatted_field_needs_its_mesh_and_metadata(tmp_path, mesh3):
+    meta = {"kappa": 1e-3}
+    formatted = SnapshotText(mesh3, meta).field(np.zeros(9))
+    with pytest.raises(ValueError):
+        write_snapshot(formatted, build_mesh(3, 3, 1.0, 1.0), tmp_path / "u.csv", "csv",
+                       metadata=meta)
+    with pytest.raises(ValueError):
+        write_snapshot(formatted, mesh3, tmp_path / "u.csv", "csv", metadata=dict(meta))
+    with pytest.raises(ValueError):
+        SnapshotText(mesh3).field(np.zeros(4))
