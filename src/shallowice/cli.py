@@ -94,9 +94,8 @@ def _write_run_outputs(setup, traj, outdir: Path):
     record = compute_monitors(traj, setup.kappa)
     write_monitors_csv(record, outdir / "monitors.csv", metadata=meta)
 
-    stride = setup.output.get("stride", 1)
-    formats = setup.output.get("formats", ["csv"])
-    indices = sorted(set(range(0, traj.N + 1, stride)) | {traj.N})
+    formats = setup.output["formats"]
+    indices = sorted(set(range(0, traj.N + 1, setup.output["stride"])) | {traj.N})
     for n in indices:
         for fmt in formats:
             write_snapshot(states[n], setup.mesh,
@@ -121,7 +120,7 @@ def _cmd_run(args) -> int:
     except MarchError as err:
         print(f"run failed at step {err.step_index}: {err.cause}", file=sys.stderr)
         return 1
-    traj.run_metadata["config"] = config.as_dict()
+    traj.run_metadata["config"] = config
     record = _write_run_outputs(setup, traj, outdir)
     iters = sum(d.iterations for d in traj.step_diagnostics)
     print(f"completed {traj.N} steps ({iters} Newton iterations) -> {outdir}")
@@ -144,8 +143,7 @@ def _cmd_sweep(args) -> int:
     outdir = Path(setup.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result.table(), outdir / "sweep.csv",
-                    metadata={"config": config.as_dict(), "kappas": kappas})
-    formats = setup.output.get("formats", ["csv"])
+                    metadata={"config": config, "kappas": kappas})
     for row in result.rows:
         subdir = outdir / f"kappa_{row.kappa:g}"
         subdir.mkdir(parents=True, exist_ok=True)
@@ -154,7 +152,7 @@ def _cmd_sweep(args) -> int:
             continue
         write_monitors_csv(row.record, subdir / "monitors.csv",
                            metadata=row.trajectory.run_metadata)
-        for fmt in formats:
+        for fmt in setup.output["formats"]:
             write_snapshot(row.trajectory.states[-1], setup.mesh,
                            subdir / f"u_final.{fmt}", fmt, name="u")
 
@@ -196,7 +194,7 @@ def _cmd_mms(args) -> int:
               "N": args.spatial_steps or steps[-1], "error": err}
              for nx, err in table.spatial]
     write_sweep_csv(rows, outdir / "mms.csv",
-                    metadata={"config": config.as_dict()})
+                    metadata={"config": config})
     print(table.format())
     return 0
 

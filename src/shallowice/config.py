@@ -1,14 +1,15 @@
 """Strict JSON run configuration.
 
-All physics must be spelled out; defaults exist only for solver knobs,
-regularizations, and output options.  Unknown keys are errors, so typos
-cannot silently change a run.
+A configuration is the plain dict of the validated JSON document, with
+every optional field filled in.  All physics must be spelled out; defaults
+exist only for solver knobs, regularizations, and output options.  Unknown
+keys are errors, so typos cannot silently change a run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "ConfigSyntaxError",
     "ValidationError",
     "MissingField",
-    "RunConfig",
     "parse_config",
     "load_config",
     "build_setup",
@@ -64,32 +64,6 @@ class MissingField(ConfigError):
 FORCING_PRESETS = ("constant", "linear_t", "seasonal", "melt", "gridded")
 INITIAL_PRESETS = ("dome", "zero", "bump")
 OUTPUT_FORMATS = ("csv", "vtk")
-
-
-@dataclass
-class RunConfig:
-    """Fully validated configuration; see parse_config for the schema."""
-
-    domain: dict
-    time: dict
-    physics: dict
-    penalty: dict
-    forcing: dict
-    initial: dict
-    solver: dict
-    output: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "domain": dict(self.domain),
-            "time": dict(self.time),
-            "physics": dict(self.physics),
-            "penalty": dict(self.penalty),
-            "forcing": dict(self.forcing),
-            "initial": dict(self.initial),
-            "solver": dict(self.solver),
-            "output": dict(self.output),
-        }
 
 
 class _Section:
@@ -145,15 +119,16 @@ class _Section:
             raise ValidationError(self._field(key), "unknown key")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a UTF-8 JSON run configuration.
+def parse_config(text: str) -> dict:
+    """Parse and validate a UTF-8 JSON run configuration into a plain dict.
 
     Sections: domain {Lx, Ly, nx, ny}; time {T, N}; physics {p, rho_g,
     A_const, mu?}; penalty {kappa, delta?, eps?}; forcing {preset, ...};
     initial {preset, amplitude} or {csv}; solver {tol_residual?,
     max_newton?, cg_tol?}; output {directory?, stride?, formats?}.
     Solver, regularization, and output fields have defaults; everything
-    physical is required.
+    physical is required.  The returned dict has every default filled in,
+    so parse_config(json.dumps(config)) == config.
     """
     try:
         raw = json.loads(text)
@@ -267,13 +242,13 @@ def parse_config(text: str) -> RunConfig:
     out.reject_unknown()
     top.reject_unknown()
 
-    return RunConfig(
-        domain=domain, time=time, physics=physics, penalty=penalty,
-        forcing=forcing, initial=initial, solver=solver, output=output,
-    )
+    return {
+        "domain": domain, "time": time, "physics": physics, "penalty": penalty,
+        "forcing": forcing, "initial": initial, "solver": solver, "output": output,
+    }
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
@@ -298,7 +273,7 @@ def initial_thickness_field(kind: str, amplitude: float, mesh: StructuredMesh) -
     raise ValidationError("initial.preset", f"must be one of {INITIAL_PRESETS}")
 
 
-def _build_forcing(spec: dict, base_dir: Path, mesh: StructuredMesh):
+def _build_forcing(spec: dict, base_dir: Path, mesh: StructuredMesh, T: float):
     preset = spec["preset"]
     if preset == "constant":
         return forcing_mod.ConstantForcing(spec["value"])
@@ -321,13 +296,18 @@ def _build_forcing(spec: dict, base_dir: Path, mesh: StructuredMesh):
         if forcing.values.shape[1] != mesh.n_nodes:
             raise ValidationError("forcing.csv", f"malformed {path}: needs "
                                   f"{mesh.n_nodes} nodal values after the time")
+        try:
+            forcing.check_cover(0.0, T)
+        except ValueError as err:
+            raise ValidationError("forcing.csv", f"{path} does not cover the "
+                                  f"run [0, {T}]: {err}")
         return forcing
     raise ValidationError("forcing.preset", "unsupported preset")
 
 
 @dataclass
 class RunSetup:
-    """Materialized objects of a RunConfig, ready to integrate."""
+    """Materialized objects of a configuration, ready to integrate."""
 
     mesh: StructuredMesh
     params: PhysicalParams
@@ -336,10 +316,10 @@ class RunSetup:
     kappa: float
     delta: float
     eps: float
-    output: dict = field(default_factory=dict)
+    output: dict
 
 
-def build_setup(config: RunConfig, base_dir=".") -> RunSetup:
+def build_setup(config: dict, base_dir=".") -> RunSetup:
     """Construct mesh, parameters, grid, and solver objects from a config.
 
     Relative file paths (per-triangle mu, gridded forcing, initial CSV)
@@ -347,11 +327,11 @@ def build_setup(config: RunConfig, base_dir=".") -> RunSetup:
     converted through the power transform, like the presets.
     """
     base_dir = Path(base_dir)
-    mesh = build_mesh(config.domain["nx"], config.domain["ny"],
-                      config.domain["Lx"], config.domain["Ly"])
-    time_grid = TimeGrid(config.time["T"], config.time["N"])
+    domain, physics, penalty = config["domain"], config["physics"], config["penalty"]
+    mesh = build_mesh(domain["nx"], domain["ny"], domain["Lx"], domain["Ly"])
+    time_grid = TimeGrid(config["time"]["T"], config["time"]["N"])
 
-    mu = config.physics["mu"]
+    mu = physics["mu"]
     if isinstance(mu, str):
         path = base_dir / mu
         try:
@@ -366,12 +346,13 @@ def build_setup(config: RunConfig, base_dir=".") -> RunSetup:
                 f"needs {mesh.n_triangles} per-triangle values, got {mu.shape}",
             )
 
-    forcing = _build_forcing(config.forcing, base_dir, mesh)
+    forcing = _build_forcing(config["forcing"], base_dir, mesh, time_grid.T)
 
-    if "csv" in config.initial:
+    initial = config["initial"]
+    if "csv" in initial:
         from .snapshots import read_field_csv
 
-        path = base_dir / config.initial["csv"]
+        path = base_dir / initial["csv"]
         try:
             H0 = read_field_csv(path, mesh)
         except OSError as err:
@@ -381,17 +362,14 @@ def build_setup(config: RunConfig, base_dir=".") -> RunSetup:
         if np.any(H0 < 0):
             raise ValidationError("initial.csv", "thickness must be nonnegative")
     else:
-        H0 = initial_thickness_field(config.initial["preset"],
-                                     config.initial["amplitude"], mesh)
+        H0 = initial_thickness_field(initial["preset"], initial["amplitude"], mesh)
 
     params = make_params(
-        mesh, config.physics["p"], forcing, H0=H0, mu=mu,
-        rho_g=config.physics["rho_g"], A_const=config.physics["A_const"],
+        mesh, physics["p"], forcing, H0=H0, mu=mu,
+        rho_g=physics["rho_g"], A_const=physics["A_const"],
     )
-    solver_config = SolverConfig(**config.solver)
     return RunSetup(
         mesh=mesh, params=params, time_grid=time_grid,
-        solver_config=solver_config, kappa=config.penalty["kappa"],
-        delta=config.penalty["delta"], eps=config.penalty["eps"],
-        output=dict(config.output),
+        solver_config=SolverConfig(**config["solver"]), kappa=penalty["kappa"],
+        delta=penalty["delta"], eps=penalty["eps"], output=config["output"],
     )

@@ -130,13 +130,13 @@ class GriddedForcing:
             raise ValueError("values must have one row per time sample")
 
     def evaluate(self, mesh, t):
-        self._check_cover(t, t)
+        self.check_cover(t, t)
         k = np.searchsorted(self.times, t, side="right") - 1
         k = min(max(k, 0), self.times.size - 2)
         w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
-    def _check_cover(self, t0, t1):
+    def check_cover(self, t0, t1):
         if t0 < self.times[0] - 1e-12 or t1 > self.times[-1] + 1e-12:
             raise ValueError(
                 f"slab [{t0}, {t1}] outside the sampled range "
@@ -144,7 +144,7 @@ class GriddedForcing:
             )
 
     def slab_average(self, mesh, t0, t1):
-        self._check_cover(t0, t1)
+        self.check_cover(t0, t1)
         # integrate the piecewise-linear interpolant exactly: trapezoid on
         # every breakpoint interval clipped to [t0, t1]
         knots = self.times

@@ -235,17 +235,30 @@ class SweepRow:
 
     kappa: float
     record: MonitorRecord | None
-    neg_norm: float
-    sc2_proxy: float
     dist_final: float | None
     trajectory: Trajectory | None
     error: str | None = None
+
+    @property
+    def neg_norm(self) -> float:
+        """The record's neg_norm; NaN for a failed row."""
+        return np.nan if self.record is None else self.record.neg_norm
+
+    @property
+    def sc2_proxy(self) -> float:
+        """neg_norm / kappa; NaN for a failed row."""
+        return self.neg_norm / self.kappa
 
 
 @dataclass
 class SweepResult:
     rows: list
-    monotone_ok: bool
+
+    @property
+    def monotone_ok(self) -> bool:
+        """neg_norm of the successful rows is nonincreasing within MONOTONE_SLACK."""
+        norms = [r.neg_norm for r in self.rows if r.error is None]
+        return not any(b > a * (1.0 + MONOTONE_SLACK) for a, b in zip(norms, norms[1:]))
 
     def table(self) -> list[dict]:
         out = []
@@ -297,27 +310,13 @@ def kappa_sweep(
                 delta=delta, eps=eps,
             )
         except MarchError as err:
-            rows.append(SweepRow(
-                kappa=kappa, record=None, neg_norm=np.nan, sc2_proxy=np.nan,
-                dist_final=None, trajectory=None, error=str(err),
-            ))
+            rows.append(SweepRow(kappa=kappa, record=None, dist_final=None,
+                                 trajectory=None, error=str(err)))
             continue
         record = compute_monitors(traj, kappa)
         final = traj.states[-1]
         dist = None if prev_final is None else float(np.max(np.abs(final - prev_final)))
         prev_final = final
-        rows.append(SweepRow(
-            kappa=kappa,
-            record=record,
-            neg_norm=record.neg_norm,
-            sc2_proxy=record.neg_norm / kappa,
-            dist_final=dist,
-            trajectory=traj,
-        ))
-
-    ok = True
-    norms = [r.neg_norm for r in rows if r.error is None]
-    for a, b in zip(norms, norms[1:]):
-        if b > a * (1.0 + MONOTONE_SLACK):
-            ok = False
-    return SweepResult(rows=rows, monotone_ok=ok)
+        rows.append(SweepRow(kappa=kappa, record=record, dist_final=dist,
+                             trajectory=traj))
+    return SweepResult(rows=rows)

@@ -159,7 +159,8 @@ def diagnostic_flux(mesh: StructuredMesh, u: np.ndarray, params: "PhysicalParams
 class PhysicalParams:
     """Physical configuration of a run.
 
-    mu is stored per triangle together with its bounds mu1 <= mu <= mu2;
+    mu is stored per triangle; its bounds mu1 = min mu and mu2 = max mu are
+    derived from it, like alpha from p, and follow any replacement of mu.
     rho_g and A_const are retained for provenance even when mu was supplied
     directly.  u0 is the initial transformed-thickness field and must be
     nonnegative with zero boundary values.
@@ -169,15 +170,17 @@ class PhysicalParams:
     rho_g: float
     A_const: float
     mu: np.ndarray
-    mu1: float
-    mu2: float
     forcing: object
     u0: np.ndarray
     alpha: float = field(init=False)
+    mu1: float = field(init=False)
+    mu2: float = field(init=False)
 
     def __post_init__(self):
         self.p = float(self.p)
         self.alpha = alpha_of(self.p)
+        self.mu1 = float(np.min(self.mu))
+        self.mu2 = float(np.max(self.mu))
         if not P_RANGE[0] <= self.p <= P_RANGE[1]:
             warnings.warn(
                 f"Glen exponent p = {self.p} outside the suggested range {P_RANGE}",
@@ -236,8 +239,6 @@ def make_params(
         rho_g=float(rho_g),
         A_const=float(A_const),
         mu=mu_arr,
-        mu1=float(mu_arr.min()),
-        mu2=float(mu_arr.max()),
         forcing=forcing,
         u0=u0.copy(),
     )

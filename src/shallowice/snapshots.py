@@ -17,6 +17,7 @@ bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from functools import cached_property
@@ -216,17 +217,16 @@ def write_states_csv(states: list, path, metadata: dict | None = None) -> None:
 
 
 def read_states_csv(path) -> list:
-    states = []
+    """Read the states written by write_states_csv, one nodal array per step."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("step,"):
-                continue
-            cells = line.split(",")
-            states.append(np.array([float(c) for c in cells[1:]]))
-    if not states:
-        raise ValueError(f"{path}: no state rows found")
-    return states
+        line = fh.readline()
+        while line.startswith(("#", "step,")) or line.isspace():
+            line = fh.readline()
+        # checked here, since loadtxt only warns on a file without data rows
+        if not line:
+            raise ValueError(f"{path}: no state rows found")
+        table = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
+    return list(table[:, 1:])
 
 
 def write_run_metadata(metadata: dict, path) -> None:

@@ -10,7 +10,7 @@ suites hammer the scalar inequalities with random samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,12 +166,20 @@ class MmsTable:
 
     temporal: list  # (N, error) on the finest mesh
     spatial: list   # (nx, error) at the spatial study step count
-    temporal_orders: list = field(default_factory=list)
+
+    @property
+    def temporal_orders(self) -> list:
+        """Order estimates log(E0/E1) / log(N1/N0) between consecutive rows."""
+        return [
+            float(np.log(e0 / e1) / np.log(n1 / n0))
+            for (n0, e0), (n1, e1) in zip(self.temporal, self.temporal[1:])
+        ]
 
     def format(self) -> str:
         lines = ["temporal study (finest mesh):", "    N      error      order"]
+        orders = self.temporal_orders
         for k, (N, err) in enumerate(self.temporal):
-            order = f"{self.temporal_orders[k - 1]:8.3f}" if k else "       -"
+            order = f"{orders[k - 1]:8.3f}" if k else "       -"
             lines.append(f"  {N:4d}  {err:10.4e} {order}")
         lines.append("spatial study:")
         lines.append("    nx     error")
@@ -198,10 +206,6 @@ def mms_convergence(case: MmsCase, p: float, mu: float, mesh_list, N_list,
     finest = build_mesh(sizes[-1], sizes[-1], case.Lx, case.Ly)
     temporal = [(N, mms_error(case, finest, p, mu, N, kappa, solver_config))
                 for N in Ns]
-    orders = [
-        float(np.log(e0 / e1) / np.log(n1 / n0))
-        for (n0, e0), (n1, e1) in zip(temporal, temporal[1:])
-    ]
     spatial = []
     for size in sizes:
         mesh = finest if size == sizes[-1] and spatial_N == Ns[-1] else build_mesh(
@@ -209,7 +213,7 @@ def mms_convergence(case: MmsCase, p: float, mu: float, mesh_list, N_list,
         )
         spatial.append((size, mms_error(case, mesh, p, mu, spatial_N, kappa,
                                         solver_config)))
-    return MmsTable(temporal=temporal, spatial=spatial, temporal_orders=orders)
+    return MmsTable(temporal=temporal, spatial=spatial)
 
 
 # --- brute-force step oracle -------------------------------------------------

@@ -91,6 +91,15 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert f"configuration error: {fieldname}: malformed" in err
         assert "Traceback" not in err
 
+    # a gridded forcing sampled on [0, 0.1] does not cover the run [0, 0.3]
+    np.savetxt(tmp_path / "early.csv",
+               np.column_stack([[0.0, 0.1], np.zeros((2, 49))]), delimiter=",")
+    cfg = write_config(tmp_path / "cover.json", tmp_path / "out",
+                       forcing={"preset": "gridded", "csv": "early.csv"})
+    assert cli(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: forcing.csv:" in err and "does not cover" in err
+
 
 def test_solver_failure_exit_code(tmp_path, capsys):
     cfg = write_config(

@@ -15,7 +15,14 @@ from shallowice import (
     run,
     vi_residual,
 )
-from shallowice.monitors import check_sc1, check_sc1_prime, lq_norm, w1p_seminorm_pow
+from shallowice.monitors import (
+    SweepResult,
+    SweepRow,
+    check_sc1,
+    check_sc1_prime,
+    lq_norm,
+    w1p_seminorm_pow,
+)
 
 from conftest import zero_boundary
 
@@ -157,6 +164,20 @@ def test_kappa_sweep_melt_decay(mesh9):
     table = sweep.table()
     assert len(table) == 3
     assert set(("kappa", "neg_norm", "neg_norm_over_kappa")) <= set(table[0])
+
+
+def test_sweep_rows_derive_from_records(mesh5):
+    record = compute_monitors(melt_traj(mesh5), 1e-3)
+    rows = [SweepRow(kappa=k, record=dataclasses.replace(record, neg_norm=v),
+                     dist_final=None, trajectory=None) for k, v in
+            ((1e-1, 2e-3), (1e-3, 2.2e-3))]
+    rows.insert(1, SweepRow(kappa=1e-2, record=None, dist_final=None,
+                            trajectory=None, error="failed"))
+    assert rows[0].neg_norm == 2e-3 and rows[0].sc2_proxy == 2e-3 / 1e-1
+    assert np.isnan(rows[1].neg_norm) and np.isnan(rows[1].sc2_proxy)
+    # the failed row is skipped; 2e-3 -> 2.2e-3 grows by 10 % > MONOTONE_SLACK
+    assert not SweepResult(rows).monotone_ok
+    assert SweepResult(rows[:2]).monotone_ok
 
 
 def test_kappa_sweep_validation(mesh5):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,9 @@ def test_params_alpha_and_mu_bounds(mesh3):
     assert params.alpha == (3 * 3.0 - 1) / (2 * 3.0)
     assert params.mu1 == 0.5
     assert params.mu2 == 1.5
+    # the bounds are derived from mu, so they follow a replaced mu
+    doubled = dataclasses.replace(params, mu=2 * params.mu)
+    assert (doubled.mu1, doubled.mu2) == (1.0, 3.0)
     # derived Glen coefficient when mu is omitted
     derived = make_params(mesh3, 3.0, ConstantForcing(0.0), u0=u0,
                           rho_g=3.0, A_const=1.0)

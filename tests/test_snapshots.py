@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,12 +79,24 @@ def test_metadata_header_lines(tmp_path, mesh3):
 def test_states_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     states = [rng.standard_normal(12) for _ in range(4)]
+    # values across the whole double range, negative zero and the smallest
+    # subnormal must come back bit for bit
+    awkward = rng.choice([-1.0, 1.0], 996) * 10.0 ** rng.uniform(-300, 300, 996)
+    awkward[:3] = [-0.0, 5e-324, -5e-324]
+    states += list(awkward.reshape(83, 12))
     path = tmp_path / "states.csv"
     write_states_csv(states, path, metadata={"N": 3})
     back = read_states_csv(path)
-    assert len(back) == 4
+    assert len(back) == len(states)
     for a, b in zip(states, back):
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+
+    # a file without state rows is an error, not a numpy warning
+    path.write_text('# {"N": 0}\nstep,node0\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no state rows"):
+            read_states_csv(path)
 
 
 def test_monitors_csv_zero_record(tmp_path):

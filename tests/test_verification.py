@@ -4,6 +4,7 @@ import pytest
 from shallowice import SolverConfig, build_mesh, solve_step
 from shallowice.verification import (
     MmsCase,
+    MmsTable,
     brute_force_step_oracle,
     lemma_inequality_suite,
     mms_error,
@@ -107,6 +108,13 @@ def test_mms_temporal_first_order():
             for N in (10, 20, 40)}
     orders = [np.log2(errs[10] / errs[20]), np.log2(errs[20] / errs[40])]
     assert all(0.7 <= o <= 1.3 for o in orders)
+
+
+def test_mms_table_derives_orders():
+    # two temporal rows and no spatial rows: order log(1e-2/5e-3)/log(8/4) = 1
+    table = MmsTable(temporal=[(4, 1e-2), (8, 5e-3)], spatial=[])
+    assert table.temporal_orders == [1.0]
+    assert table.format().splitlines()[3] == "     8  5.0000e-03    1.000"
 
 
 def test_oracle_zero_problem(mesh5):
