@@ -19,7 +19,7 @@ from .config import ConfigError, build_setup, load_config
 from .forcing import ConstantForcing
 from .mesh import build_mesh
 from .monitors import compute_monitors, kappa_sweep
-from .physics import PhysicalRangeWarning, make_params, thickness_from_u
+from .physics import PhysicalRangeWarning, glen_mu, make_params, thickness_from_u
 from .snapshots import (
     SnapshotText,
     read_run_metadata,
@@ -30,7 +30,7 @@ from .snapshots import (
     write_states_csv,
     write_sweep_csv,
 )
-from .solver import SolverError
+from .solver import SolverConfig, SolverError
 from .timestep import MarchError, TimeGrid, Trajectory, run
 from .verification import (
     MmsCase,
@@ -173,20 +173,25 @@ def _cmd_mms(args) -> int:
     if args.spatial_steps is not None and args.spatial_steps < 1:
         raise ConfigError("--spatial-steps must be at least 1")
     config = load_config(args.config)
-    setup = build_setup(config, Path(args.config).parent)
+    domain, time, physics = config["domain"], config["time"], config["physics"]
+    # the study builds its own meshes, u0 and forcing; it reads only these
     if args.steps is None:
-        steps = [setup.time_grid.N, 2 * setup.time_grid.N]
+        steps = [time["N"], 2 * time["N"]]
     else:
         steps = _number_list(args.steps, "--steps", int, lambda n: n >= 1,
                              "step counts >= 1")
-    if setup.params.mu1 != setup.params.mu2:
+    mu = physics["mu"]
+    if isinstance(mu, str):
         print("mms study requires a constant mu", file=sys.stderr)
         return 2
-    case = MmsCase(Lx=setup.mesh.Lx, Ly=setup.mesh.Ly, T=setup.time_grid.T)
-    table = mms_convergence(case, setup.params.p, setup.params.mu1, meshes,
-                            steps, setup.kappa, setup.solver_config,
+    if mu is None:
+        mu = glen_mu(physics["A_const"], physics["rho_g"], physics["p"])
+    case = MmsCase(Lx=domain["Lx"], Ly=domain["Ly"], T=time["T"])
+    table = mms_convergence(case, physics["p"], mu, meshes, steps,
+                            config["penalty"]["kappa"],
+                            SolverConfig(**config["solver"]),
                             spatial_N=args.spatial_steps)
-    outdir = Path(setup.output["directory"])
+    outdir = Path(config["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [{"study": "temporal", "nx": meshes[-1], "N": N, "error": err}
             for N, err in table.temporal]

@@ -69,26 +69,17 @@ class StructuredMesh:
         return gram
 
     @cached_property
-    def stencil_cols(self) -> np.ndarray:
-        """(n, 7) read-only column of each stencil entry, clipped into range.
+    def stencil_slots(self) -> np.ndarray:
+        """(ntri*9,) read-only slot k n + i of each element entry, or 7 n.
 
-        Entry k of row i couples node i to node i + _stencil_offsets(nx)[k];
-        every interior row has all seven neighbours, boundary rows hold
-        clipped placeholders.
+        Entry (t, a, b) of a per-triangle 3x3 matrix couples row
+        i = triangles[t, a] to column triangles[t, b] = i + _stencil_offsets(nx)[k]
+        and lands at slot k n + i of the column-major (7, n) stencil, so
+        summing element matrices into stencil rows is one bincount.  Every
+        entry whose row or column is a boundary node lands in the discard
+        slot 7 n instead.
         """
         n = self.n_nodes
-        cols = np.clip(np.arange(n)[:, None] + _stencil_offsets(self.nx), 0, n - 1)
-        cols.setflags(write=False)
-        return cols
-
-    @cached_property
-    def stencil_slots(self) -> np.ndarray:
-        """(ntri*9,) read-only flat stencil slot 7 i + k of each element entry.
-
-        Entry (t, a, b) of a per-triangle 3x3 matrix lands in row
-        i = triangles[t, a] at the slot k of the offset triangles[t, b] - i,
-        so summing element matrices into stencil rows is one bincount.
-        """
         reach = self.nx + 1
         lookup = np.full(2 * reach + 1, -1, dtype=np.int32)
         lookup[_stencil_offsets(self.nx) + reach] = np.arange(7, dtype=np.int32)
@@ -102,9 +93,11 @@ class StructuredMesh:
         slot = lookup[offset]
         if slot.min() < 0:
             raise ValueError("a triangle couples nodes outside the 7-point stencil")
-        rows *= 7
-        rows += slot
-        slots = rows.ravel()
+        slot *= n
+        slot += rows
+        boundary = self.boundary_mask[tri]
+        slot[np.repeat(boundary, 3, axis=1) | np.tile(boundary, 3)] = 7 * n
+        slots = slot.ravel()
         slots.setflags(write=False)
         return slots
 

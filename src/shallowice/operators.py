@@ -18,9 +18,11 @@ gradients it returns a StepPoint with the energy, the residual and the
 gradient state (g, q and the flux weight); step_energy and step_residual
 read it.  The Jacobian is linearized once per Newton iterate from the
 accepted StepPoint, reusing its gradient state: linearize builds the 3x3
-element matrix of every triangle and assembles them into one row of seven
-entries per node, the fixed 7-point stencil of the structured mesh
-(ELLPACK storage); step_jacobian_action is one gather and one row dot.
+element matrix of every triangle and assembles them into seven stencil
+rows of length n, one per direction of the fixed 7-point stencil of the
+structured mesh (diagonal storage), with every Dirichlet entry dropped at
+assembly; step_jacobian_action multiplies each row by shifted slices of
+the zero-padded direction.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from .mesh import (
     StructuredMesh,
+    _stencil_offsets,
     require_constrained,
     require_nodal,
     scatter_vertex_sums,
@@ -176,10 +179,10 @@ def step_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
 class StepJacobian:
     """Step Jacobian at one state, assembled once for repeated application.
 
-    rows   (n, 7) stencil rows, row i holding the couplings of node i to the
-           nodes mesh.stencil_cols[i] (ELLPACK layout); every entry whose row
-           or column is a boundary node is 0
-    diag   Jacobi diagonal, rows[:, 0] with 1 on boundary rows
+    rows   (7, n) stencil rows, rows[k, i] coupling node i to node
+           i + _stencil_offsets(nx)[k] (diagonal layout); every entry whose
+           row or column is a boundary node is 0
+    diag   Jacobi diagonal, rows[0] with 1 on boundary rows
     """
 
     mesh: StructuredMesh
@@ -218,12 +221,14 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
     K = weight[:, None, None] * mesh.grad_gram
     K += (coef[:, None] * gb)[:, :, None] * gb[:, None, :]
 
+    # boundary entries land in the discard slot 7 n, so only the slope remains
     n = mesh.n_nodes
-    rows = np.bincount(mesh.stencil_slots, K.ravel(), minlength=7 * n).reshape(n, 7)
-    rows[:, 0] += slope
+    rows = np.bincount(mesh.stencil_slots, K.ravel(), minlength=7 * n + 1)
+    rows = rows[:7 * n].reshape(7, n)
+    rows[0] += slope
     boundary = mesh.boundary_mask
-    rows[boundary[:, None] | boundary[mesh.stencil_cols]] = 0.0
-    diag = rows[:, 0].copy()
+    rows[0, boundary] = 0.0
+    diag = rows[0].copy()
     diag[boundary] = 1.0
     return StepJacobian(mesh=mesh, rows=rows, diag=diag)
 
@@ -231,12 +236,20 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
 def step_jacobian_action(jac: StepJacobian, w: np.ndarray) -> np.ndarray:
     """Jacobian of step_residual, as linearized in jac, applied to w.
 
-    One gather and one row dot.  Boundary rows of the result are zero and
-    finite boundary entries of w are ignored.
+    Sums rows[k] times w, zero-padded by nx + 1 on each side and shifted by
+    stencil offset k, in the order k = 0..6; interior rows never reach the
+    padding.  Boundary rows of the result are zero and finite boundary
+    entries of w are ignored.
     """
     mesh = jac.mesh
     w = require_nodal(mesh, w, "w")
-    return np.einsum("ik,ik->i", jac.rows, w[mesh.stencil_cols])
+    n, pad = mesh.n_nodes, mesh.nx + 1
+    padded = np.zeros(n + 2 * pad)
+    padded[pad:pad + n] = w
+    out = jac.rows[0] * w
+    for k, offset in enumerate(_stencil_offsets(mesh.nx)[1:], start=1):
+        out += jac.rows[k] * padded[pad + offset:pad + offset + n]
+    return out
 
 
 def scaled_residual_norm(problem: StepProblem, F: np.ndarray) -> float:

@@ -2,16 +2,17 @@
 
 The step problem is the minimization of a strictly convex energy, so a
 descent method with line search converges from any starting point.  Each
-Newton iterate takes one path: the residual is linearized once and
-assembled into 7-point stencil rows, a Jacobi-preconditioned truncated
-conjugate-gradient solve on them gives a descent direction, and one
-backtracking line search on the step energy accepts the trial point by an
-Armijo decrease or, once the energy decrement sinks below roundoff, by a
-measurable drop of the residual.  A line search that finds no such point
-raises NonConvergence.  Every point, the start and each trial, is
-evaluated once: evaluate returns its energy, residual and gradient state
-together, the solver carries the accepted StepPoint, and linearize reuses
-that point's gradient state.
+Newton iterate takes one path.  The residual is linearized once and
+assembled into the (7, n) rows of the 7-point stencil, with the Dirichlet
+entries dropped at assembly.  A Jacobi-preconditioned truncated
+conjugate-gradient solve, applying the rows by shifted slices, gives a
+descent direction, and one backtracking line search on the step energy
+accepts the trial point by an Armijo decrease or, once the energy
+decrement sinks below roundoff, by a measurable drop of the residual.  A
+line search that finds no such point raises NonConvergence.  Every point,
+the start and each trial, is evaluated once: evaluate returns its energy,
+residual and gradient state together, the solver carries the accepted
+StepPoint, and linearize reuses that point's gradient state.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import require_constrained
 from .operators import (
     StepProblem,
     evaluate,
@@ -157,15 +159,10 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
     convergence).  Raises NonConvergence or NumericalBreakdown on failure.
     """
     cfg = config or SolverConfig()
-    mesh = problem.mesh
     if initial_guess is None:
         u = problem.u_prev.copy()
     else:
-        u = np.asarray(initial_guess, dtype=float).copy()
-        if u.shape != (mesh.n_nodes,):
-            raise ValueError("initial_guess has the wrong shape")
-        if np.any(u[mesh.boundary_mask] != 0.0):
-            raise ValueError("initial_guess must vanish on the boundary")
+        u = require_constrained(problem.mesh, initial_guess, "initial_guess").copy()
 
     point = evaluate(problem, u)
     res = scaled_residual_norm(problem, point.residual)

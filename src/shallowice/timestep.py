@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,8 +17,6 @@ __all__ = [
     "MarchError",
     "average_forcing",
     "run",
-    "interpolant_value",
-    "difference_quotient",
 ]
 
 VERSION = "0.1.0"
@@ -154,26 +151,3 @@ def run(
         run_metadata=meta,
     )
 
-
-def interpolant_value(traj: Trajectory, t: float) -> np.ndarray:
-    """State of the piecewise-constant interpolant at time t.
-
-    Slabs are half-open on the left: the value on (n ell, (n+1) ell] is
-    u^(n+1), so t = ell returns u^1 and any t just above ell returns u^2.
-    """
-    grid = traj.time_grid
-    if not 0.0 < t <= grid.T:
-        raise ValueError(f"t must lie in (0, {grid.T}], got {t}")
-    idx = max(1, math.ceil(t / grid.ell))
-    idx = min(idx, traj.N)
-    return traj.states[idx]
-
-
-def difference_quotient(traj: Trajectory, transform, n: int) -> np.ndarray:
-    """Nodal (transform(u^(n+1)) - transform(u^n)) / ell; transform None = identity."""
-    if not 0 <= n <= traj.N - 1:
-        raise IndexError(f"step index {n} out of range [0, {traj.N - 1}]")
-    a, b = traj.states[n], traj.states[n + 1]
-    if transform is not None:
-        a, b = transform(a), transform(b)
-    return (b - a) / traj.time_grid.ell

@@ -71,12 +71,6 @@ class MmsCase:
     def value_nodal(self, mesh: StructuredMesh, t: float) -> np.ndarray:
         return self.value(t, mesh.nodes[:, 0], mesh.nodes[:, 1])
 
-    def thickness(self, t, x, y, p: float):
-        """Ice thickness of the manufactured field through the power transform."""
-        from .physics import thickness_from_u
-
-        return thickness_from_u(self.value(t, x, y), p)
-
     def space_derivatives(self, x, y):
         """bump and its first/second partials at (x, y)."""
         nrm = self._norm()

@@ -257,6 +257,24 @@ def test_mms_command_small(tmp_path, capsys):
     assert "temporal study" in capsys.readouterr().out
 
 
+def test_mms_reads_only_what_the_study_needs(tmp_path, capsys):
+    # the study builds its own u0 and forcing: a zero initial state must not
+    # warn, an unread forcing file need not exist, and an absent mu is the
+    # Glen-law value
+    doc = {"physics": {"p": 3.0, "rho_g": 3.0, "A_const": 1.0},
+           "forcing": {"preset": "gridded", "csv": "missing.csv"}}
+    cfg = write_config(tmp_path / "mms.json", tmp_path / "mms_out", **doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["mms", str(cfg), "--meshes", "3,5", "--steps", "1,2"]) == 0
+    assert "temporal study" in capsys.readouterr().out
+
+    doc["physics"]["mu"] = "mu.txt"
+    cfg = write_config(tmp_path / "mms.json", tmp_path / "mms_out", **doc)
+    assert cli(["mms", str(cfg), "--meshes", "3,5", "--steps", "1,2"]) == 2
+    assert "requires a constant mu" in capsys.readouterr().err
+
+
 def test_verify_command(capsys):
     # the oracle's p = 2 cases are internal and must not warn about p
     with warnings.catch_warnings():

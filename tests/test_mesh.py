@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shallowice import build_mesh
-from shallowice.mesh import triangle_gradients
+from shallowice.mesh import _stencil_offsets, triangle_gradients
 
 
 def shoelace_area(pts):
@@ -111,18 +111,22 @@ def test_mesh_arrays_read_only(mesh3):
 
 
 def test_stencil_slots_address_element_entries():
-    # each element entry (t, a, b) must land in row triangles[t, a] at the
-    # slot whose column is triangles[t, b]
+    # an element entry (t, a, b) coupling two interior nodes must land at
+    # slot k n + i with i = triangles[t, a] and triangles[t, b] = i + offsets[k];
+    # every entry touching a boundary node lands in the discard slot 7 n
     for nx, ny in [(3, 3), (6, 4), (4, 7)]:
         mesh = build_mesh(nx, ny, 1.0, 1.0)
-        row, slot = np.divmod(mesh.stencil_slots.reshape(-1, 3, 3), 7)
-        assert np.array_equal(row, np.repeat(mesh.triangles[:, :, None], 3, axis=2))
-        col = mesh.stencil_cols[row, slot]
-        assert np.array_equal(col, np.repeat(mesh.triangles[:, None, :], 3, axis=1))
-        assert mesh.stencil_cols.dtype == np.intp
-        for arr in (mesh.stencil_cols, mesh.stencil_slots):
-            with pytest.raises(ValueError):
-                arr[0] = 1
+        n = mesh.n_nodes
+        slots = mesh.stencil_slots.reshape(-1, 3, 3)
+        row = np.repeat(mesh.triangles[:, :, None], 3, axis=2)
+        col = np.repeat(mesh.triangles[:, None, :], 3, axis=1)
+        touches = mesh.boundary_mask[row] | mesh.boundary_mask[col]
+        assert np.all(slots[touches] == 7 * n)
+        k, i = np.divmod(slots[~touches], n)
+        assert np.array_equal(i, row[~touches])
+        assert np.array_equal(i + _stencil_offsets(nx)[k], col[~touches])
+        with pytest.raises(ValueError):
+            mesh.stencil_slots[0] = 1
 
 
 def test_stencil_slots_reject_other_diagonal(mesh5):

@@ -17,8 +17,6 @@ from shallowice import (
     step_residual,
 )
 from shallowice.forcing import CallableForcing, LinearForcing
-from shallowice.physics import signed_power
-from shallowice.timestep import difference_quotient, interpolant_value
 
 
 def dome_params(mesh, forcing=None, amp=1.0, mu=0.05):
@@ -93,46 +91,6 @@ def test_single_step_equals_run_with_n1(mesh5):
                        ell=grid.ell, kappa=1e-2)
     direct = solve_step(prob, SolverConfig(), initial_guess=params.u0)
     assert np.array_equal(traj.states[1], direct.u_next)
-
-
-def test_interpolant_slab_convention(mesh5):
-    params = dome_params(mesh5)
-    traj = run(mesh5, params, TimeGrid(1.0, 4), 1e-3)
-    assert interpolant_value(traj, 1.0) is traj.states[4]
-    assert interpolant_value(traj, 0.25) is traj.states[1]
-    assert interpolant_value(traj, 0.25 + 1e-15) is traj.states[2]
-    assert interpolant_value(traj, 1e-9) is traj.states[1]
-    with pytest.raises(ValueError):
-        interpolant_value(traj, 0.0)
-    with pytest.raises(ValueError):
-        interpolant_value(traj, 1.0 + 1e-12)
-
-
-def test_difference_quotient(mesh5):
-    params = dome_params(mesh5)
-    grid = TimeGrid(1.0, 4)
-    traj = run(mesh5, params, grid, 1e-3)
-    # identity transform on a linear-in-step synthetic trajectory
-    import dataclasses
-
-    base = np.linspace(0, 1, mesh5.n_nodes)
-    base[mesh5.boundary_mask] = 0.0
-    synth = dataclasses.replace(
-        traj, states=[k * base for k in range(5)], step_diagnostics=[]
-    )
-    q0 = difference_quotient(synth, None, 0)
-    q2 = difference_quotient(synth, None, 2)
-    assert np.allclose(q0, base / grid.ell, rtol=1e-13)
-    assert np.allclose(q0, q2, rtol=1e-13)
-
-    const = dataclasses.replace(traj, states=[base] * 5, step_diagnostics=[])
-    assert np.array_equal(difference_quotient(const, None, 1), 0 * base)
-
-    alpha = params.alpha
-    q = difference_quotient(traj, lambda v: signed_power(v, 0.5 * alpha), 2)
-    assert np.all(np.isfinite(q))
-    with pytest.raises(IndexError):
-        difference_quotient(traj, None, 4)
 
 
 def test_run_determinism(mesh5):

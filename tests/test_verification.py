@@ -24,9 +24,6 @@ def test_mms_case_shape():
     u0 = case.value_nodal(mesh, 0.0)
     assert np.all(u0 >= 0)
     assert np.all(u0[mesh.boundary_mask] == 0.0)
-    # thickness of the manufactured field follows the power transform
-    assert case.thickness(0.0, 1.0, 0.5, 3.0) == pytest.approx(
-        2.0 ** (1.0 / 3.0), rel=1e-13)
 
 
 def test_mms_forcing_degenerate_zero_field():
