@@ -9,6 +9,8 @@ and the residual of the limiting variational inequality; a verification
 layer provides manufactured solutions and brute-force oracles.
 """
 
+__version__ = "0.1.0"
+
 from .config import ConfigError, build_setup, initial_thickness_field, load_config
 from .forcing import ConstantForcing, MeltForcing, poly_bump
 from .mesh import StructuredMesh, build_mesh
@@ -17,5 +19,4 @@ from .operators import StepProblem, scaled_residual_norm, step_energy, step_resi
 from .physics import PhysicalParams, diagnostic_flux, make_params, thickness_from_u
 from .snapshots import write_snapshot
 from .solver import NonConvergence, SolverConfig, SolverError, solve_step
-from .timestep import VERSION as __version__
 from .timestep import MarchError, TimeGrid, average_forcing, run

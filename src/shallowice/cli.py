@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, build_setup, load_config
 from .forcing import ConstantForcing
 from .mesh import build_mesh
@@ -83,9 +84,14 @@ def _number_list(text: str, flag: str, convert, valid, what: str) -> list:
     return values
 
 
-def _write_run_outputs(setup, traj, outdir: Path):
+def _provenance(config: dict, **extra) -> dict:
+    """The metadata of an output file: the package version and the
+    validated config of the run that wrote it, which re-runs it."""
+    return {"version": __version__, "config": config, **extra}
+
+
+def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
     outdir.mkdir(parents=True, exist_ok=True)
-    meta = traj.run_metadata
     write_run_metadata(meta, outdir / "run_metadata.json")
     # each state is formatted once, by states.csv, and its snapshots reuse it
     text = SnapshotText(setup.mesh, meta)
@@ -120,8 +126,7 @@ def _cmd_run(args) -> int:
     except MarchError as err:
         print(f"run failed at step {err.step_index}: {err.cause}", file=sys.stderr)
         return 1
-    traj.run_metadata["config"] = config
-    record = _write_run_outputs(setup, traj, outdir)
+    record = _write_run_outputs(setup, traj, outdir, _provenance(config))
     iters = sum(d.iterations for d in traj.step_diagnostics)
     print(f"completed {traj.N} steps ({iters} Newton iterations) -> {outdir}")
     for key, value in record.as_dict().items():
@@ -143,15 +148,17 @@ def _cmd_sweep(args) -> int:
     outdir = Path(setup.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result.table(), outdir / "sweep.csv",
-                    metadata={"config": config, "kappas": kappas})
+                    metadata=_provenance(config, kappas=kappas))
     for row in result.rows:
         subdir = outdir / f"kappa_{row.kappa:g}"
         subdir.mkdir(parents=True, exist_ok=True)
         if row.error is not None:
             (subdir / "FAILED").write_text(row.error + "\n", encoding="utf-8")
             continue
+        # the config of this row's run: the sweep's own, at the row's kappa
+        penalty = {**config["penalty"], "kappa": row.kappa}
         write_monitors_csv(row.record, subdir / "monitors.csv",
-                           metadata=row.trajectory.run_metadata)
+                           metadata=_provenance({**config, "penalty": penalty}))
         for fmt in setup.output["formats"]:
             write_snapshot(row.trajectory.states[-1], setup.mesh,
                            subdir / f"u_final.{fmt}", fmt, name="u")
@@ -174,6 +181,7 @@ def _cmd_mms(args) -> int:
         raise ConfigError("--spatial-steps must be at least 1")
     config = load_config(args.config)
     domain, time, physics = config["domain"], config["time"], config["physics"]
+    penalty = config["penalty"]
     # the study builds its own meshes, u0 and forcing; it reads only these
     if args.steps is None:
         steps = [time["N"], 2 * time["N"]]
@@ -188,9 +196,9 @@ def _cmd_mms(args) -> int:
         mu = glen_mu(physics["A_const"], physics["rho_g"], physics["p"])
     case = MmsCase(Lx=domain["Lx"], Ly=domain["Ly"], T=time["T"])
     table = mms_convergence(case, physics["p"], mu, meshes, steps,
-                            config["penalty"]["kappa"],
-                            SolverConfig(**config["solver"]),
-                            spatial_N=args.spatial_steps)
+                            penalty["kappa"], SolverConfig(**config["solver"]),
+                            spatial_N=args.spatial_steps,
+                            delta=penalty["delta"], eps=penalty["eps"])
     outdir = Path(config["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [{"study": "temporal", "nx": meshes[-1], "N": N, "error": err}
@@ -199,7 +207,7 @@ def _cmd_mms(args) -> int:
               "N": args.spatial_steps or steps[-1], "error": err}
              for nx, err in table.spatial]
     write_sweep_csv(rows, outdir / "mms.csv",
-                    metadata={"config": config})
+                    metadata=_provenance(config))
     print(table.format())
     return 0
 
@@ -267,11 +275,12 @@ def _cmd_monitors(args) -> int:
     try:
         meta = read_run_metadata(meta_path)
         states = read_states_csv(states_path)
-        dom, phys, pen = meta["domain"], meta["physics"], meta["penalty"]
+        config = meta["config"]
+        dom, pen = config["domain"], config["penalty"]
         mesh = build_mesh(dom["nx"], dom["ny"], dom["Lx"], dom["Ly"])
-        grid = TimeGrid(meta["time"]["T"], meta["time"]["N"])
-        p, mu, kappa, delta, eps = (phys["p"], phys["mu1"], pen["kappa"],
-                                    pen["delta"], pen["eps"])
+        grid = TimeGrid(config["time"]["T"], config["time"]["N"])
+        p, kappa, delta, eps = (config["physics"]["p"], pen["kappa"],
+                                pen["delta"], pen["eps"])
     except (ValueError, KeyError, TypeError) as err:
         print(f"{outdir}: cannot read the saved run: {err!r}", file=sys.stderr)
         return 2
@@ -279,11 +288,14 @@ def _cmd_monitors(args) -> int:
         print(f"{outdir}: states.csv needs {grid.N + 1} rows of {mesh.n_nodes} "
               f"values, as run_metadata.json says", file=sys.stderr)
         return 2
-    # monitors are independent of the forcing and of mu; rebuild placeholders
-    params = make_params(mesh, p, ConstantForcing(0.0), u0=states[0], mu=mu)
+    # monitors depend on p but not on the forcing or mu, so those are
+    # placeholders; the run warned about its own inputs when it was made
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = make_params(mesh, p, ConstantForcing(0.0), u0=states[0], mu=1.0)
     traj = Trajectory(
         states=states, step_diagnostics=[], time_grid=grid, mesh=mesh,
-        params=params, kappa=kappa, delta=delta, eps=eps, run_metadata=meta,
+        params=params, kappa=kappa, delta=delta, eps=eps,
     )
     record = compute_monitors(traj, traj.kappa)
     write_monitors_csv(record, outdir / "monitors_recomputed.csv", metadata=meta)

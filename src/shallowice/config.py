@@ -3,7 +3,9 @@
 A configuration is the plain dict of the validated JSON document, with
 every optional field filled in.  All physics must be spelled out; defaults
 exist only for solver knobs, regularizations, and output options.  Unknown
-keys are errors, so typos cannot silently change a run.
+keys are errors, so typos cannot silently change a run.  This dict, with
+the package version, is the whole description of a run that the CLI saves
+beside its output.
 """
 
 from __future__ import annotations

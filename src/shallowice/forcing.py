@@ -2,7 +2,9 @@
 
 The scheme consumes the exact average of the forcing over each time slab.
 Polynomial-in-time presets integrate in closed form; everything else uses
-two-point Gauss quadrature in time, which is exact through cubics.
+two-point Gauss quadrature in time, which is exact through cubics.  A
+forcing object only evaluates; a run's forcing is described by the
+`forcing` section of its config.
 """
 
 from __future__ import annotations
@@ -37,13 +39,9 @@ class ConstantForcing:
     """Spatially uniform, constant in time."""
 
     value: float
-    quadrature = "exact"
 
     def slab_average(self, mesh, t0, t1):
         return np.full(mesh.n_nodes, self.value)
-
-    def describe(self):
-        return {"preset": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,9 @@ class LinearForcing:
 
     a0: float
     a1: float
-    quadrature = "exact"
 
     def slab_average(self, mesh, t0, t1):
         return np.full(mesh.n_nodes, self.a0 + self.a1 * 0.5 * (t0 + t1))
-
-    def describe(self):
-        return {"preset": "linear_t", "a0": self.a0, "a1": self.a1}
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,6 @@ class SeasonalForcing:
     base: float
     amplitude: float
     period: float
-
-    quadrature = "gauss2"
 
     def __post_init__(self):
         if self.period <= 0:
@@ -83,21 +75,12 @@ class SeasonalForcing:
         wave = 0.5 * (self._wave(mid - half) + self._wave(mid + half))
         return self.base + self.amplitude * wave * poly_bump(mesh)
 
-    def describe(self):
-        return {
-            "preset": "seasonal",
-            "base": self.base,
-            "amplitude": self.amplitude,
-            "period": self.period,
-        }
-
 
 @dataclass(frozen=True)
 class MeltForcing:
     """Constant negative balance; drives the state into the penalty."""
 
     rate: float
-    quadrature = "exact"
 
     def __post_init__(self):
         if not self.rate < 0:
@@ -106,9 +89,6 @@ class MeltForcing:
     def slab_average(self, mesh, t0, t1):
         return np.full(mesh.n_nodes, self.rate)
 
-    def describe(self):
-        return {"preset": "melt", "rate": self.rate}
-
 
 class GriddedForcing:
     """Nodal time series, piecewise linear in t; slab averages are exact.
@@ -116,8 +96,6 @@ class GriddedForcing:
     times must be strictly increasing and cover every slab queried; values
     has one row of nodal samples per time.
     """
-
-    quadrature = "exact"
 
     def __init__(self, times, values):
         self.times = np.asarray(times, dtype=float)
@@ -158,22 +136,12 @@ class GriddedForcing:
             total += 0.5 * (va + vb) * (b - a)
         return total / (t1 - t0)
 
-    def describe(self):
-        return {
-            "preset": "gridded",
-            "samples": int(self.times.size),
-            "t_range": [float(self.times[0]), float(self.times[-1])],
-        }
-
 
 class CallableForcing:
     """Arbitrary nodal forcing t -> values(mesh); averaged by Gauss-2 in time."""
 
-    quadrature = "gauss2"
-
-    def __init__(self, fn, label="callable"):
+    def __init__(self, fn):
         self.fn = fn
-        self.label = label
 
     def evaluate(self, mesh, t):
         return np.asarray(self.fn(t, mesh), dtype=float)
@@ -182,5 +150,3 @@ class CallableForcing:
         mid, half = 0.5 * (t0 + t1), (t1 - t0) * _GAUSS2
         return 0.5 * (self.evaluate(mesh, mid - half) + self.evaluate(mesh, mid + half))
 
-    def describe(self):
-        return {"preset": self.label}

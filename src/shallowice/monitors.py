@@ -14,7 +14,7 @@ vanishing of the negative part as the penalty tightens.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -261,6 +261,8 @@ class SweepResult:
         return not any(b > a * (1.0 + MONOTONE_SLACK) for a, b in zip(norms, norms[1:]))
 
     def table(self) -> list[dict]:
+        """One dict per row, all with the same keys: the row's own values,
+        then its monitor record, whose cells are None for a failed row."""
         out = []
         for row in self.rows:
             entry = {
@@ -270,8 +272,9 @@ class SweepResult:
                 "dist_final": row.dist_final,
                 "error": row.error,
             }
-            if row.record is not None:
-                entry.update(row.record.as_dict())
+            record = {} if row.record is None else row.record.as_dict()
+            for f in fields(MonitorRecord):
+                entry.setdefault(f.name, record.get(f.name))
             out.append(entry)
         return out
 

@@ -159,16 +159,14 @@ def diagnostic_flux(mesh: StructuredMesh, u: np.ndarray, params: "PhysicalParams
 class PhysicalParams:
     """Physical configuration of a run.
 
-    mu is stored per triangle; its bounds mu1 = min mu and mu2 = max mu are
-    derived from it, like alpha from p, and follow any replacement of mu.
-    rho_g and A_const are retained for provenance even when mu was supplied
-    directly.  u0 is the initial transformed-thickness field and must be
-    nonnegative with zero boundary values.
+    mu is stored per triangle, whether given or derived by make_params from
+    the Glen law; its bounds mu1 = min mu and mu2 = max mu are derived from
+    it, like alpha from p, and follow any replacement of mu.  u0 is the
+    initial transformed-thickness field and must be nonnegative with zero
+    boundary values.
     """
 
     p: float
-    rho_g: float
-    A_const: float
     mu: np.ndarray
     forcing: object
     u0: np.ndarray
@@ -236,8 +234,6 @@ def make_params(
     mu_arr.setflags(write=False)
     return PhysicalParams(
         p=float(p),
-        rho_g=float(rho_g),
-        A_const=float(A_const),
         mu=mu_arr,
         forcing=forcing,
         u0=u0.copy(),

@@ -3,7 +3,8 @@ tables, and full trajectory state dumps.
 
 Decimal output uses Python's shortest round-trip float representation, so
 writing and re-reading a field reproduces it bit for bit.  Every file can
-carry the resolved run settings in '#' comment lines.
+carry a metadata dict as JSON on a '#' line (a VTK file: in its title); the
+CLI writes the package version and the validated config of the run.
 
 A run writes each state to `states.csv` and to its CSV and VTK snapshots,
 and formats it once: `SnapshotText` holds the text those files share (the

@@ -1,8 +1,14 @@
-"""Implicit time march and the piecewise-constant trajectory interpolant."""
+"""Implicit time march: the uniform time grid, slab-averaged forcing and
+the trajectory of one run.
+
+A trajectory holds states and the objects that made them, not a
+description of the run; the validated config is that description, and the
+CLI saves it with every output file.
+"""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +24,6 @@ __all__ = [
     "average_forcing",
     "run",
 ]
-
-VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,6 @@ class Trajectory:
     """States u^0..u^N of one run plus everything needed to re-derive them.
 
     states[0] is the initial field; every state vanishes on the boundary.
-    run_metadata is a plain serializable dict with the resolved settings.
     """
 
     states: list
@@ -62,7 +65,6 @@ class Trajectory:
     kappa: float
     delta: float
     eps: float
-    run_metadata: dict = field(default_factory=dict)
 
     @property
     def N(self) -> int:
@@ -85,27 +87,6 @@ def average_forcing(forcing, n: int, time_grid: TimeGrid, mesh: StructuredMesh) 
     return np.asarray(forcing.slab_average(mesh, t0, t1), dtype=float)
 
 
-def _metadata(mesh, params, time_grid, kappa, delta, eps, cfg) -> dict:
-    return {
-        "version": VERSION,
-        "domain": {"nx": mesh.nx, "ny": mesh.ny, "Lx": mesh.Lx, "Ly": mesh.Ly},
-        "time": {"T": time_grid.T, "N": time_grid.N, "ell": time_grid.ell},
-        "physics": {
-            "p": params.p,
-            "alpha": params.alpha,
-            "rho_g": params.rho_g,
-            "A_const": params.A_const,
-            "mu1": params.mu1,
-            "mu2": params.mu2,
-            "mu_constant": bool(params.mu1 == params.mu2),
-        },
-        "penalty": {"kappa": kappa, "delta": delta, "eps": eps},
-        "solver": asdict(cfg),
-        "forcing": params.forcing.describe(),
-        "forcing_quadrature": params.forcing.quadrature,
-    }
-
-
 def run(
     mesh: StructuredMesh,
     params: PhysicalParams,
@@ -125,7 +106,6 @@ def run(
     cfg = solver_config or SolverConfig()
     states = [params.u0.copy()]
     diags: list[StepResult] = []
-    meta = _metadata(mesh, params, time_grid, kappa, delta, eps, cfg)
 
     for n in range(time_grid.N):
         a_bar = average_forcing(params.forcing, n, time_grid, mesh)
@@ -139,7 +119,6 @@ def run(
             partial = Trajectory(
                 states=states, step_diagnostics=diags, time_grid=time_grid,
                 mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
-                run_metadata=meta,
             )
             raise MarchError(n, partial, err) from err
         states.append(result.u_next)
@@ -148,6 +127,5 @@ def run(
     return Trajectory(
         states=states, step_diagnostics=diags, time_grid=time_grid,
         mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
-        run_metadata=meta,
     )
 

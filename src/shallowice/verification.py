@@ -16,7 +16,14 @@ import numpy as np
 
 from .forcing import CallableForcing
 from .mesh import StructuredMesh, build_mesh
-from .operators import StepProblem, scaled_residual_norm, step_energy, step_residual
+from .operators import (
+    DEFAULT_DELTA,
+    DEFAULT_EPS,
+    StepProblem,
+    scaled_residual_norm,
+    step_energy,
+    step_residual,
+)
 from .physics import make_params, signed_power
 from .timestep import TimeGrid, run
 
@@ -133,19 +140,19 @@ def mms_forcing(case: MmsCase, p: float, mu: float, t, x, y):
 
 def _case_params(case: MmsCase, mesh: StructuredMesh, p: float, mu: float):
     forcing = CallableForcing(
-        lambda t, msh: mms_forcing(case, p, mu, t, msh.nodes[:, 0], msh.nodes[:, 1]),
-        label="manufactured",
+        lambda t, msh: mms_forcing(case, p, mu, t, msh.nodes[:, 0], msh.nodes[:, 1])
     )
     u0 = case.value_nodal(mesh, 0.0)
     return make_params(mesh, p, forcing, u0=u0, mu=mu)
 
 
 def mms_error(case: MmsCase, mesh: StructuredMesh, p: float, mu: float,
-              N: int, kappa: float, solver_config=None) -> float:
+              N: int, kappa: float, solver_config=None, *,
+              delta: float = DEFAULT_DELTA, eps: float = DEFAULT_EPS) -> float:
     """max_n of the lumped L2 distance between the march and the closed form."""
     grid = TimeGrid(case.T, N)
     params = _case_params(case, mesh, p, mu)
-    traj = run(mesh, params, grid, kappa, solver_config)
+    traj = run(mesh, params, grid, kappa, solver_config, delta=delta, eps=eps)
     m = mesh.lumped_mass
     worst = 0.0
     for n, u in enumerate(traj.states):
@@ -184,29 +191,33 @@ class MmsTable:
 
 def mms_convergence(case: MmsCase, p: float, mu: float, mesh_list, N_list,
                     kappa: float, solver_config=None,
-                    spatial_N: int | None = None) -> MmsTable:
+                    spatial_N: int | None = None, *,
+                    delta: float = DEFAULT_DELTA,
+                    eps: float = DEFAULT_EPS) -> MmsTable:
     """Temporal and spatial refinement study against the manufactured field.
 
     Temporal rows run every N in N_list on the finest mesh of mesh_list and
     report order estimates log2(E(N)/E(2N)) between consecutive rows.
     Spatial rows run every mesh at spatial_N steps (default: the largest N
     in N_list), where the march is time-resolved enough for the spatial
-    error to dominate.
+    error to dominate.  Every march uses the regularizations delta and eps.
     """
     sizes = sorted(int(n) for n in mesh_list)
     Ns = sorted(int(n) for n in N_list)
     spatial_N = Ns[-1] if spatial_N is None else int(spatial_N)
 
+    def error(mesh, N):
+        return mms_error(case, mesh, p, mu, N, kappa, solver_config,
+                         delta=delta, eps=eps)
+
     finest = build_mesh(sizes[-1], sizes[-1], case.Lx, case.Ly)
-    temporal = [(N, mms_error(case, finest, p, mu, N, kappa, solver_config))
-                for N in Ns]
+    temporal = [(N, error(finest, N)) for N in Ns]
     spatial = []
     for size in sizes:
         mesh = finest if size == sizes[-1] and spatial_N == Ns[-1] else build_mesh(
             size, size, case.Lx, case.Ly
         )
-        spatial.append((size, mms_error(case, mesh, p, mu, spatial_N, kappa,
-                                        solver_config)))
+        spatial.append((size, error(mesh, spatial_N)))
     return MmsTable(temporal=temporal, spatial=spatial)
 
 

@@ -2,7 +2,9 @@ import json
 import warnings
 
 import numpy as np
+from shallowice import __version__
 from shallowice.cli import cli
+from shallowice.config import load_config, parse_config
 from shallowice.physics import PhysicalRangeWarning
 
 
@@ -25,6 +27,12 @@ def write_config(path, outdir, **overrides):
 def read_monitor_row(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return dict(zip(lines[0].split(","), lines[1].split(",")))
+
+
+def read_metadata_line(path):
+    first = path.read_text(encoding="utf-8").splitlines()[0]
+    assert first.startswith("# ")
+    return json.loads(first[2:])
 
 
 def test_run_zero_config(tmp_path, capsys):
@@ -50,6 +58,43 @@ def test_run_deterministic_outputs(tmp_path):
     assert cli(["run", str(cfg)]) == 0
     for p in out.iterdir():
         assert p.read_bytes() == first[p.name]
+
+
+def test_run_saves_its_validated_config(tmp_path):
+    # the package version and the validated config are the one record of a
+    # run: run_metadata.json, every CSV's '#' line and every VTK title
+    cfg = write_config(tmp_path / "run.json", tmp_path / "out",
+                       initial={"preset": "dome", "amplitude": 0.8},
+                       forcing={"preset": "melt", "rate": -0.5},
+                       penalty={"kappa": 1e-3, "delta": 1e-7, "eps": 1e-9},
+                       output={"directory": str(tmp_path / "out"), "stride": 1,
+                               "formats": ["csv", "vtk"]})
+    assert cli(["run", str(cfg)]) == 0
+    out = tmp_path / "out"
+    meta = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))
+    assert meta == {"version": __version__, "config": load_config(cfg)}
+    assert parse_config(json.dumps(meta["config"])) == meta["config"]
+    text = json.dumps(meta, sort_keys=True)
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 7  # states, monitors, u_000000..u_000003, H_final
+    for path in csvs:
+        assert path.read_text(encoding="utf-8").splitlines()[0] == "# " + text
+    vtks = sorted(out.glob("*.vtk"))
+    assert len(vtks) == 5
+    for path in vtks:
+        assert path.read_text(encoding="utf-8").splitlines()[1] == (
+            "shallowice " + text)[:255]
+
+    # the saved config re-runs the run
+    again = dict(meta["config"], output={**meta["config"]["output"],
+                                         "directory": str(tmp_path / "again")})
+    (tmp_path / "again.json").write_text(json.dumps(again), encoding="utf-8")
+    assert cli(["run", str(tmp_path / "again.json")]) == 0
+
+    def state_rows(directory):
+        return (directory / "states.csv").read_text(encoding="utf-8").splitlines()[1:]
+
+    assert state_rows(tmp_path / "again") == state_rows(out)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -140,8 +185,41 @@ def test_sweep_command(tmp_path, capsys):
     assert len(lines) == 4
     neg = [float(row.split(",")[header.index("neg_norm")]) for row in lines[1:]]
     assert neg[0] >= neg[1] >= neg[2]
-    assert (out / "kappa_0.001" / "monitors.csv").exists()
     assert "neg_norm nonincreasing: True" in capsys.readouterr().out
+    # each row's monitors.csv carries the config of that row's run: the
+    # sweep's config with penalty.kappa set to the row's kappa
+    config = load_config(cfg)
+    for kappa in (1e-2, 1e-3, 1e-4):
+        meta = read_metadata_line(out / f"kappa_{kappa:g}" / "monitors.csv")
+        assert meta == {"version": __version__,
+                        "config": {**config, "penalty": {**config["penalty"],
+                                                         "kappa": kappa}}}
+    assert read_metadata_line(out / "sweep.csv") == {
+        "version": __version__, "config": config, "kappas": [1e-2, 1e-3, 1e-4]}
+
+
+def test_sweep_writes_failed_rows(tmp_path, capsys):
+    # the second penalty's march fails after the first one succeeded
+    cfg = write_config(
+        tmp_path / "sweep.json", tmp_path / "out",
+        domain={"Lx": 1.0, "Ly": 1.0, "nx": 9, "ny": 9},
+        time={"T": 2.0, "N": 2},
+        physics={"p": 3.0, "rho_g": 3.0, "A_const": 1.0, "mu": 1.0},
+        forcing={"preset": "melt", "rate": -2.0},
+        initial={"preset": "dome", "amplitude": 1.0},
+    )
+    assert cli(["sweep", str(cfg), "--kappas", "1e-3,1e-8"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "FAILED" in captured.out
+    lines = [l.split(",") for l in (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert len(lines) == 3
+    assert len(lines[1]) == len(lines[2]) == len(lines[0])
+    ok, failed = (dict(zip(lines[0], row)) for row in lines[1:])
+    assert ok["error"] == "" and float(ok["est1"]) > 0.0
+    assert failed["error"] != "" and failed["est1"] == ""
+    assert (tmp_path / "out" / "kappa_1e-08" / "FAILED").exists()
 
 
 def test_sweep_rejects_bad_kappas(tmp_path, capsys):
@@ -163,16 +241,44 @@ def test_monitors_recompute(tmp_path):
     )
     assert cli(["run", str(cfg)]) == 0
     out = tmp_path / "out"
-    # run directories written before the solver section lost these keys
+    # run directories written before the config became the only record also
+    # carry sections derived from the run's objects; the oldest of those
+    # still have solver keys that were removed since
     meta_path = out / "run_metadata.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["solver"].update(max_backtrack=40, armijo_c=1e-4, cg_max=1500)
+    meta.update(
+        domain={"Lx": 1.0, "Ly": 1.0, "nx": 7, "ny": 7},
+        time={"N": 3, "T": 0.3, "ell": 0.09999999999999999},
+        physics={"A_const": 1.0, "alpha": 4.0 / 3.0, "mu1": 0.1, "mu2": 0.1,
+                 "mu_constant": True, "p": 3.0, "rho_g": 3.0},
+        penalty={"delta": 1e-8, "eps": 1e-10, "kappa": 1e-3},
+        solver={"cg_tol": 1e-6, "max_newton": 60, "tol_residual": 1e-10,
+                "max_backtrack": 40, "armijo_c": 1e-4, "cg_max": 1500},
+        forcing={"preset": "melt", "rate": -0.5},
+        forcing_quadrature="exact",
+    )
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert cli(["monitors", str(out)]) == 0
     orig = read_monitor_row(out / "monitors.csv")
     redo = read_monitor_row(out / "monitors_recomputed.csv")
     assert orig == redo
     assert cli(["monitors", str(tmp_path / "nothing")]) == 2
+
+
+def test_monitors_does_not_rewarn_about_the_run(tmp_path):
+    # a zero initial state, and p outside the Glen range, warned when the
+    # run was made; recomputing its monitors must not warn again
+    for p in (3.0, 2.0):
+        out = tmp_path / f"out_{p:g}"
+        cfg = write_config(tmp_path / "zero.json", out,
+                           domain={"Lx": 1.0, "Ly": 1.0, "nx": 9, "ny": 9},
+                           physics={"p": p, "rho_g": 3.0, "A_const": 1.0, "mu": 0.1})
+        assert cli(["run", str(cfg)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli(["monitors", str(out)]) == 0
+        assert (out / "monitors_recomputed.csv").read_bytes() == (
+            out / "monitors.csv").read_bytes()
 
 
 def test_monitors_rejects_broken_run_dir(tmp_path, capsys):
@@ -273,6 +379,20 @@ def test_mms_reads_only_what_the_study_needs(tmp_path, capsys):
     cfg = write_config(tmp_path / "mms.json", tmp_path / "mms_out", **doc)
     assert cli(["mms", str(cfg), "--meshes", "3,5", "--steps", "1,2"]) == 2
     assert "requires a constant mu" in capsys.readouterr().err
+
+
+def test_mms_uses_the_config_regularizations(tmp_path):
+    rows = []
+    for delta in (0.3, 1e-8):
+        cfg = write_config(tmp_path / "mms.json", tmp_path / "mms_out",
+                           penalty={"kappa": 1e-3, "delta": delta})
+        assert cli(["mms", str(cfg), "--meshes", "3,5", "--steps", "1,2"]) == 0
+        text = (tmp_path / "mms_out" / "mms.csv").read_text(encoding="utf-8")
+        rows.append([l for l in text.splitlines() if not l.startswith("#")])
+        assert read_metadata_line(tmp_path / "mms_out" / "mms.csv") == {
+            "version": __version__, "config": load_config(cfg)}
+    assert rows[0][0] == rows[1][0]  # same header
+    assert rows[0][1:] != rows[1][1:]
 
 
 def test_verify_command(capsys):

@@ -130,15 +130,3 @@ def test_eps0_bare_ground_march_converges(mesh9):
         res = scaled_residual_norm(problem, step_residual(problem, traj.states[k + 1]))
         assert res <= cfg.tol_residual
 
-
-def test_run_metadata_contents(mesh5):
-    params = dome_params(mesh5, forcing=MeltForcing(-0.5))
-    traj = run(mesh5, params, TimeGrid(0.5, 2), 1e-3, delta=1e-7, eps=1e-9)
-    meta = traj.run_metadata
-    assert meta["penalty"] == {"kappa": 1e-3, "delta": 1e-7, "eps": 1e-9}
-    assert meta["physics"]["p"] == 3.0
-    assert meta["forcing"] == {"preset": "melt", "rate": -0.5}
-    assert meta["forcing_quadrature"] == "exact"
-    assert meta["time"]["N"] == 2
-    assert set(meta["solver"]) == {"tol_residual", "max_newton", "cg_tol"}
-    assert "start_index" not in meta and "stop_index" not in meta
