@@ -157,11 +157,11 @@ def _cmd_sweep(args) -> int:
             continue
         # the config of this row's run: the sweep's own, at the row's kappa
         penalty = {**config["penalty"], "kappa": row.kappa}
-        write_monitors_csv(row.record, subdir / "monitors.csv",
-                           metadata=_provenance({**config, "penalty": penalty}))
+        meta = _provenance({**config, "penalty": penalty})
+        write_monitors_csv(row.record, subdir / "monitors.csv", metadata=meta)
         for fmt in setup.output["formats"]:
             write_snapshot(row.trajectory.states[-1], setup.mesh,
-                           subdir / f"u_final.{fmt}", fmt, name="u")
+                           subdir / f"u_final.{fmt}", fmt, name="u", metadata=meta)
 
     print(f"{'kappa':>10s} {'neg_norm':>12s} {'neg_norm/kappa':>14s} {'dist_final':>12s}")
     for row in result.rows:
@@ -290,9 +290,14 @@ def _cmd_monitors(args) -> int:
         return 2
     # monitors depend on p but not on the forcing or mu, so those are
     # placeholders; the run warned about its own inputs when it was made
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = make_params(mesh, p, ConstantForcing(0.0), u0=states[0], mu=1.0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params = make_params(mesh, p, ConstantForcing(0.0), u0=states[0], mu=1.0)
+    except ValueError as err:
+        print(f"{outdir}: the first row of states.csv is not an initial state: {err}",
+              file=sys.stderr)
+        return 2
     traj = Trajectory(
         states=states, step_diagnostics=[], time_grid=grid, mesh=mesh,
         params=params, kappa=kappa, delta=delta, eps=eps,

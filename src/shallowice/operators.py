@@ -16,7 +16,9 @@ m_i, which keeps the pointwise nonlinearities decoupled across nodes.
 evaluate is the one home of both formulas: from one pass over the triangle
 gradients it returns a StepPoint with the energy, the residual and the
 gradient state (g, q and the flux weight); step_energy and step_residual
-read it.  The Jacobian is linearized once per Newton iterate from the
+read it.  Without its stiffness term the energy is a sum of functions of
+one nodal value each, and nodal_minimizer returns its minimizer node by
+node.  The Jacobian is linearized once per Newton iterate from the
 accepted StepPoint, reusing its gradient state: linearize builds the 3x3
 element matrix of every triangle and assembles them into seven stencil
 rows of length n, one per direction of the fixed 7-point stencil of the
@@ -46,6 +48,7 @@ __all__ = [
     "StepPoint",
     "StepJacobian",
     "evaluate",
+    "nodal_minimizer",
     "step_energy",
     "step_residual",
     "linearize",
@@ -60,6 +63,12 @@ DEFAULT_EPS = 1e-10
 # at eps = 0 the power slope (alpha-1)|u|^(alpha-2) is unbounded at u = 0;
 # the Jacobian evaluates it at |u| >= SINGULAR_STATE
 SINGULAR_STATE = 1e-14
+
+# nodal_minimizer stops once no node moves by more than NODAL_RTOL relative;
+# its bracketed Newton steps take at most 8 on the dome runs, the cap only
+# bounds pathological input
+NODAL_MAX_ITER = 60
+NODAL_RTOL = 1e-13
 
 
 @dataclass
@@ -163,6 +172,55 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
     )
     F[mesh.boundary_mask] = 0.0
     return StepPoint(u=u, energy=energy, residual=F, g=g, q=q, weight=weight)
+
+
+def nodal_minimizer(problem: StepProblem) -> np.ndarray:
+    """Minimizer of the step energy without its stiffness term.
+
+    The time, penalty and forcing terms of the energy (see evaluate) are
+    nodal and strictly convex, so their minimizer solves, at every node,
+    the scalar monotone equation
+
+        phi_eps(u)/ell + min(u, 0)/kappa = r,   r = phi(uprev)/ell + abar,
+
+    and is set to 0 on the boundary.  Where r >= 0 and eps = 0 the root is
+    (ell r)^(1/(alpha-1)).  Elsewhere Newton steps, vectorized over the
+    nodes, run inside a bracket that shrinks with the sign of each
+    residual, and a step that leaves the bracket is replaced by its
+    bisection.  With b = max(eps, (ell |r| 2^((2-alpha)/2))^(1/(alpha-1))),
+    which bounds |phi_eps|^(-1)(ell |r|), the bracket is [0, b] for r >= 0
+    and [-min(kappa |r|, b), 0] for r < 0.  At eps = 0 the slope is
+    evaluated at max(|u|, SINGULAR_STATE), as in linearize.
+    """
+    alpha, eps = problem.params.alpha, problem.eps
+    ell, kappa = problem.ell, problem.kappa
+    r = signed_power(problem.u_prev, alpha - 1.0) / ell + problem.a_bar
+    up = r >= 0.0
+    root = 1.0 / (alpha - 1.0)
+    closed = (ell * np.abs(r)) ** root
+    bound = np.maximum(eps, closed * 2.0 ** (0.5 * (2.0 - alpha) * root))
+    lo = np.where(up, 0.0, -np.minimum(kappa * np.abs(r), bound))
+    hi = np.where(up, bound, 0.0)
+    if eps == 0.0:
+        lo = np.where(up, closed, lo)
+        hi = np.where(up, closed, hi)
+    u = np.where(up, closed, lo)
+
+    for _ in range(NODAL_MAX_ITER):
+        f = phi_power_reg(u, alpha, eps) / ell + np.minimum(u, 0.0) / kappa - r
+        lo = np.where(f <= 0.0, u, lo)
+        hi = np.where(f >= 0.0, u, hi)
+        u_slope = u if eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
+        slope = dphi_power_reg(u_slope, alpha, eps) / ell + (u < 0.0) / kappa
+        new = u - f / slope
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        # a NaN input stays NaN and counts as settled
+        moving = np.abs(new - u) > NODAL_RTOL * np.abs(new)
+        u = new
+        if not moving.any():
+            break
+    u[problem.mesh.boundary_mask] = 0.0
+    return u
 
 
 def step_energy(problem: StepProblem, u: np.ndarray) -> float:

@@ -1,7 +1,13 @@
 """Damped Newton solver for one implicit step.
 
 The step problem is the minimization of a strictly convex energy, so a
-descent method with line search converges from any starting point.  Each
+descent method with line search converges from any starting point.  The
+start is whichever of two candidates has the lower energy: the given guess
+(the previous state by default) and the nodal minimizer, which minimizes
+the energy without its stiffness term node by node; a tie keeps the
+guess.  The guess wins where the stiffness term dominates, as under
+accumulation; the nodal minimizer wins where the nodal terms do, as where
+melt or a stiff penalty moves the state far within one step.  Each
 Newton iterate takes one path.  The residual is linearized once and
 assembled into the (7, n) rows of the 7-point stencil, with the Dirichlet
 entries dropped at assembly.  A Jacobi-preconditioned truncated
@@ -12,7 +18,8 @@ decrement sinks below roundoff, by a measurable drop of the residual.  A
 line search that finds no such point raises NonConvergence.  Every point,
 the start and each trial, is evaluated once: evaluate returns its energy,
 residual and gradient state together, the solver carries the accepted
-StepPoint, and linearize reuses that point's gradient state.
+StepPoint, and linearize reuses that point's gradient state.  A step costs
+2 + iterations + backtracks evaluations.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .operators import (
     StepProblem,
     evaluate,
     linearize,
+    nodal_minimizer,
     scaled_residual_norm,
     step_jacobian_action,
 )
@@ -153,7 +161,9 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
                initial_guess: np.ndarray | None = None) -> StepResult:
     """Solve one implicit step to tolerance.
 
-    The returned state is the unique energy minimizer up to tolerance and
+    Newton starts from the lower-energy of initial_guess (u_prev when None)
+    and nodal_minimizer(problem), keeping the guess on a tie.  The returned
+    state is the unique energy minimizer up to tolerance and
     is independent of the initial guess.  Energy is nonincreasing across
     accepted iterates (up to the roundoff of the energy evaluation near
     convergence).  Raises NonConvergence or NumericalBreakdown on failure.
@@ -164,7 +174,12 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
     else:
         u = require_constrained(problem.mesh, initial_guess, "initial_guess").copy()
 
+    # start from the lower-energy of the guess and the nodal minimizer;
+    # a tie, or a NaN energy, keeps the guess
     point = evaluate(problem, u)
+    nodal = evaluate(problem, nodal_minimizer(problem))
+    if nodal.energy < point.energy:
+        point = nodal
     res = scaled_residual_norm(problem, point.residual)
     history = [res]
     iterations = 0

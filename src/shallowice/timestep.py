@@ -99,9 +99,10 @@ def run(
 ) -> Trajectory:
     """March the implicit scheme over the whole horizon, u^0 .. u^N.
 
-    u^0 is params.u0.  Each step is warm-started from the previous state;
-    on a step failure a MarchError carrying the partial trajectory is
-    raised.
+    u^0 is params.u0.  Each step is given the previous state as its
+    initial guess, and solve_step starts from it or from the nodal
+    minimizer of the step, whichever has the lower energy; on a step
+    failure a MarchError carrying the partial trajectory is raised.
     """
     cfg = solver_config or SolverConfig()
     states = [params.u0.copy()]

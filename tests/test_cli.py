@@ -188,18 +188,32 @@ def test_sweep_command(tmp_path, capsys):
     assert "neg_norm nonincreasing: True" in capsys.readouterr().out
     # each row's monitors.csv carries the config of that row's run: the
     # sweep's config with penalty.kappa set to the row's kappa
+    # as does its u_final.csv
     config = load_config(cfg)
     for kappa in (1e-2, 1e-3, 1e-4):
-        meta = read_metadata_line(out / f"kappa_{kappa:g}" / "monitors.csv")
-        assert meta == {"version": __version__,
-                        "config": {**config, "penalty": {**config["penalty"],
-                                                         "kappa": kappa}}}
+        row_meta = {"version": __version__,
+                    "config": {**config, "penalty": {**config["penalty"],
+                                                     "kappa": kappa}}}
+        for name in ("monitors.csv", "u_final.csv"):
+            assert read_metadata_line(out / f"kappa_{kappa:g}" / name) == row_meta
     assert read_metadata_line(out / "sweep.csv") == {
         "version": __version__, "config": config, "kappas": [1e-2, 1e-3, 1e-4]}
 
 
-def test_sweep_writes_failed_rows(tmp_path, capsys):
-    # the second penalty's march fails after the first one succeeded
+def test_sweep_writes_failed_rows(tmp_path, capsys, monkeypatch):
+    # the second penalty's march fails after the first one succeeded; the
+    # solver converges at every penalty, so the failure is injected
+    import shallowice.monitors as monitors
+    from shallowice.solver import NonConvergence
+    from shallowice.timestep import MarchError
+
+    def run_failing_at_1e8(mesh, params, time_grid, kappa, *args, **kwargs):
+        if kappa == 1e-8:
+            raise MarchError(0, None, NonConvergence("injected failure"))
+        return run(mesh, params, time_grid, kappa, *args, **kwargs)
+
+    run = monitors.run
+    monkeypatch.setattr(monitors, "run", run_failing_at_1e8)
     cfg = write_config(
         tmp_path / "sweep.json", tmp_path / "out",
         domain={"Lx": 1.0, "Ly": 1.0, "nx": 9, "ny": 9},
@@ -307,6 +321,26 @@ def test_monitors_rejects_broken_run_dir(tmp_path, capsys):
             err = capsys.readouterr().err
             assert str(out) in err and "Traceback" not in err
             assert not (out / "monitors_recomputed.csv").exists()
+
+
+def test_monitors_rejects_a_negative_initial_state(tmp_path, capsys):
+    # a saved run's first state is its u0, which must be nonnegative
+    cfg = write_config(tmp_path / "run.json", tmp_path / "out",
+                       initial={"preset": "dome", "amplitude": 0.8})
+    assert cli(["run", str(cfg)]) == 0
+    out = tmp_path / "out"
+    lines = (out / "states.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("0,"))
+    cells = lines[first].split(",")
+    center = 1 + 24  # node 24 is the center of the 7 x 7 mesh
+    assert float(cells[center]) > 0.0
+    cells[center] = "-0.5"
+    lines[first] = ",".join(cells)
+    (out / "states.csv").write_text("".join(lines), encoding="utf-8")
+    assert cli(["monitors", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+    assert not (out / "monitors_recomputed.csv").exists()
 
 
 def test_run_formats_each_field_once(tmp_path, monkeypatch):

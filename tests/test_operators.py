@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,14 @@ from shallowice import (
     step_residual,
 )
 from shallowice.mesh import scatter_vertex_sums, triangle_gradients
-from shallowice.operators import SINGULAR_STATE, evaluate, linearize, step_jacobian_action
-from shallowice.physics import dphi_power_reg, phi_power_reg
+from shallowice.operators import (
+    SINGULAR_STATE,
+    evaluate,
+    linearize,
+    nodal_minimizer,
+    step_jacobian_action,
+)
+from shallowice.physics import dphi_power_reg, phi_power_reg, signed_power
 from shallowice.verification import brute_force_step_oracle
 
 from conftest import make_problem, random_state, zero_boundary
@@ -350,3 +357,32 @@ def test_problem_validation(mesh3):
         make_problem(mesh3, delta=-1.0)
     with pytest.raises(ValueError):
         make_problem(mesh3, u_prev=np.ones(n))  # nonzero boundary
+
+
+@pytest.mark.parametrize("eps", [1e-10, 0.0])
+@pytest.mark.parametrize("p, kappa, ell", [(2.0, 1e-2, 0.1), (3.0, 1e-8, 1.0),
+                                           (5.0, 1e-4, 0.01)])
+def test_nodal_minimizer_solves_the_nodal_equation(mesh9, p, kappa, ell, eps):
+    # states and forcing of both signs and many scales, plus r = 0 nodes
+    rng = np.random.default_rng(11)
+    n = mesh9.n_nodes
+    u_prev = zero_boundary(mesh9, rng.uniform(0.0, 2.0, n) * 10.0 ** rng.integers(-12, 2, n))
+    a_bar = rng.uniform(-2.0, 2.0, n) * 10.0 ** rng.integers(-12, 3, n)
+    u_prev[:12], a_bar[:12] = 0.0, 0.0
+    prob = make_problem(mesh9, p=p, kappa=kappa, ell=ell, eps=eps,
+                        u_prev=u_prev, a_bar=a_bar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = nodal_minimizer(prob)
+    assert np.all(u[mesh9.boundary_mask] == 0.0)
+    free = mesh9.interior_mask
+    alpha = prob.params.alpha
+    r = signed_power(u_prev, alpha - 1.0) / ell + a_bar
+    time_term = phi_power_reg(u, alpha, eps) / ell
+    penalty = np.minimum(u, 0.0) / kappa
+    scale = np.abs(time_term) + np.abs(penalty) + np.abs(r)
+    assert np.all(np.abs(time_term + penalty - r)[free] <= 1e-11 * scale[free])
+    assert np.all(u[free][r[free] == 0.0] == 0.0)
+    if eps == 0.0:
+        up = free & (r >= 0.0)
+        assert np.array_equal(u[up], (ell * r[up]) ** (1.0 / (alpha - 1.0)))

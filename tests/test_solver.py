@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from shallowice import (
+    ConstantForcing,
     MeltForcing,
     NonConvergence,
     SolverConfig,
@@ -17,7 +20,8 @@ from shallowice import (
     step_energy,
     step_residual,
 )
-from shallowice.operators import evaluate, linearize, step_jacobian_action
+from shallowice.operators import DEFAULT_EPS, evaluate, linearize, step_jacobian_action
+from shallowice.physics import PhysicalRangeWarning
 from shallowice.solver import NumericalBreakdown, inner_linear_solve
 
 from conftest import make_problem, random_state, zero_boundary
@@ -232,19 +236,14 @@ def test_result_residual_matches_recomputation(mesh5):
     assert result.final_energy == step_energy(prob, result.u_next)
 
 
-def test_solve_step_evaluates_each_point_once(monkeypatch):
-    # one evaluation for the start and one per line-search trial, each
-    # with a single gradient pass; linearize reuses the accepted point
+def test_solve_step_evaluates_each_point_once(monkeypatch, mesh9):
+    # one evaluation for each of the two starts and one per line-search
+    # trial, each with a single gradient pass; linearize reuses the
+    # accepted point.  This problem needs a backtrack.
     import shallowice.operators as operators
     import shallowice.solver as solver
 
-    mesh = build_mesh(9, 9, 1.0, 1.0)
-    H0 = initial_thickness_field("dome", 1.0, mesh)
-    params = make_params(mesh, 3.0, MeltForcing(-2.0), H0=H0, mu=1.0)
-    grid = TimeGrid(2.0, 2)
-    prob = StepProblem(mesh=mesh, params=params, u_prev=params.u0,
-                       a_bar=average_forcing(params.forcing, 0, grid, mesh),
-                       ell=grid.ell, kappa=1e-3)
+    prob = make_problem(mesh9, p=5.0, seed=3)
     calls = {"evaluate": 0, "gradients": 0}
 
     def counted(name, fn):
@@ -258,7 +257,7 @@ def test_solve_step_evaluates_each_point_once(monkeypatch):
                         counted("gradients", operators.triangle_gradients))
     result = solve_step(prob)
     assert result.iterations > 0 and result.backtracks > 0
-    assert calls["evaluate"] == 1 + result.iterations + result.backtracks
+    assert calls["evaluate"] == 2 + result.iterations + result.backtracks
     assert calls["gradients"] == calls["evaluate"]
 
 
@@ -287,20 +286,61 @@ def test_nonfinite_residual_raises(mesh5):
     assert err.value.node == 12
 
 
-def test_p5_small_kappa_margin_march_converges():
-    # large p with a stiff penalty: states oscillate across u = 0 at the
-    # margin, where the Newton steps alone must still reach tolerance
+def assert_dome_melt_march_converges(p, kappa, N, eps=DEFAULT_EPS):
+    """March the 33^2 dome under melt -2 to T = 2; every step must reach
+    the residual tolerance, recomputed from the saved states."""
     mesh = build_mesh(33, 33, 1.0, 1.0)
     H0 = initial_thickness_field("dome", 1.0, mesh)
-    params = make_params(mesh, 5.0, MeltForcing(-2.0), H0=H0, mu=1.0)
-    grid = TimeGrid(2.0, 20)
+    # p = 2 lies outside the suggested Glen range
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PhysicalRangeWarning)
+        params = make_params(mesh, p, MeltForcing(-2.0), H0=H0, mu=1.0)
+    grid = TimeGrid(2.0, N)
     cfg = SolverConfig()
-    traj = run(mesh, params, grid, 1e-6, cfg)
+    traj = run(mesh, params, grid, kappa, cfg, eps=eps)
     for n in range(grid.N):
         problem = StepProblem(
             mesh=mesh, params=params, u_prev=traj.states[n],
             a_bar=average_forcing(params.forcing, n, grid, mesh),
-            ell=grid.ell, kappa=1e-6,
+            ell=grid.ell, kappa=kappa, eps=eps,
         )
         res = scaled_residual_norm(problem, step_residual(problem, traj.states[n + 1]))
         assert res <= cfg.tol_residual
+
+
+def test_p5_small_kappa_margin_march_converges():
+    # large p with a stiff penalty: states oscillate across u = 0 at the
+    # margin, where the Newton steps alone must still reach tolerance
+    assert_dome_melt_march_converges(5.0, 1e-6, 20)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 0.0])
+@pytest.mark.parametrize("p, kappa, N", [
+    (2.0, 1e-2, 20), (2.0, 1e-4, 20),
+    (3.0, 1e-8, 2),
+    (5.0, 1e-6, 2), (5.0, 1e-8, 2),
+])
+def test_dome_melt_marches_where_the_warm_start_failed(p, kappa, N, eps):
+    # every step has a unique minimizer, yet Newton from the previous state
+    # alone ran into the iteration cap on these cases
+    assert_dome_melt_march_converges(p, kappa, N, eps)
+
+
+def test_start_choice_never_costs_newton_iterations(monkeypatch):
+    # under accumulation the previous state is the better start; starting
+    # from the nodal minimizer alone takes far more iterations, so the
+    # energy choice between the two must keep the warm start's count
+    import shallowice.solver as solver
+
+    mesh = build_mesh(33, 33, 1.0, 1.0)
+    H0 = initial_thickness_field("dome", 1.0, mesh)
+    params = make_params(mesh, 3.0, ConstantForcing(1.0), H0=H0, mu=1.0)
+    grid = TimeGrid(2.0, 20)
+
+    def newton_total():
+        traj = run(mesh, params, grid, 1e-3)
+        return sum(d.iterations for d in traj.step_diagnostics)
+
+    chosen = newton_total()
+    monkeypatch.setattr(solver, "nodal_minimizer", lambda problem: problem.u_prev.copy())
+    assert chosen <= newton_total()
