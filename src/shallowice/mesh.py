@@ -5,6 +5,13 @@ Nodes live on a tensor grid over [0, Lx] x [0, Ly], ordered row-major
 lower-left -> upper-right diagonal, which makes piecewise-linear gradients
 constant per triangle and keeps every assembly loop exactly evaluable.
 Nodal fields are plain 1-D float arrays of length nx*ny.
+
+The per-triangle kernels run component-major: `vertex_cols` (3, ntri) and
+`basis_cols` (3, 2, ntri) hold the triangle vertices and hat gradients as
+contiguous rows of length ntri, derived once from `triangles` and
+`grad_basis`.  A gradient is then a gather and six multiply-adds on such
+rows, per-vertex sums are scattered by one bincount over the raveled
+rows, and element matrices by adding each entry row at its stencil slots.
 """
 
 from __future__ import annotations
@@ -62,31 +69,41 @@ class StructuredMesh:
         return self.Lx / (self.nx - 1), self.Ly / (self.ny - 1)
 
     @cached_property
-    def grad_gram(self) -> np.ndarray:
-        """(ntri, 3, 3) read-only products grad hat_i . grad hat_j on each triangle."""
-        gram = np.einsum("tid,tjd->tij", self.grad_basis, self.grad_basis)
-        gram.setflags(write=False)
-        return gram
+    def vertex_cols(self) -> np.ndarray:
+        """(3, ntri) read-only contiguous copy of triangles.T: row l holds
+        local vertex l of every triangle."""
+        cols = np.ascontiguousarray(self.triangles.T)
+        cols.setflags(write=False)
+        return cols
+
+    @cached_property
+    def basis_cols(self) -> np.ndarray:
+        """(3, 2, ntri) read-only contiguous copy of grad_basis.transpose(1, 2, 0):
+        row basis_cols[l, d] holds component d of the gradient of hat l on
+        every triangle."""
+        cols = np.ascontiguousarray(self.grad_basis.transpose(1, 2, 0))
+        cols.setflags(write=False)
+        return cols
 
     @cached_property
     def stencil_slots(self) -> np.ndarray:
-        """(ntri*9,) read-only slot k n + i of each element entry, or 7 n.
+        """(9 ntri,) read-only slot k n + i of each element entry, or 7 n.
 
-        Entry (t, a, b) of a per-triangle 3x3 matrix couples row
-        i = triangles[t, a] to column triangles[t, b] = i + _stencil_offsets(nx)[k]
+        Entry (a, b, t) of the (3, 3, ntri) element matrices couples row
+        i = vertex_cols[a, t] to column vertex_cols[b, t] = i + _stencil_offsets(nx)[k]
         and lands at slot k n + i of the column-major (7, n) stencil, so
-        summing element matrices into stencil rows is one bincount.  Every
-        entry whose row or column is a boundary node lands in the discard
-        slot 7 n instead.
+        summing element matrices into stencil rows is a scatter-add over
+        these slots.  Every entry whose row or column is a boundary node
+        lands in the discard slot 7 n instead.  Slots are stored in that
+        (a, b, t) order.
         """
         n = self.n_nodes
         reach = self.nx + 1
-        lookup = np.full(2 * reach + 1, -1, dtype=np.int32)
-        lookup[_stencil_offsets(self.nx) + reach] = np.arange(7, dtype=np.int32)
-        tri = self.triangles.astype(np.int32)
-        rows = np.repeat(tri, 3, axis=1)  # triangles[t, a] at column 3 a + b
-        offset = np.tile(tri, 3)          # triangles[t, b] at column 3 a + b
-        offset -= rows
+        lookup = np.full(2 * reach + 1, -1, dtype=np.intp)
+        lookup[_stencil_offsets(self.nx) + reach] = np.arange(7)
+        tri = self.vertex_cols
+        rows = tri[:, None, :]  # vertex_cols[a, t] at (a, b, t)
+        offset = tri[None, :, :] - rows
         offset += reach
         if offset.min() < 0 or offset.max() > 2 * reach:
             raise ValueError("a triangle couples nodes outside the 7-point stencil")
@@ -96,7 +113,7 @@ class StructuredMesh:
         slot *= n
         slot += rows
         boundary = self.boundary_mask[tri]
-        slot[np.repeat(boundary, 3, axis=1) | np.tile(boundary, 3)] = 7 * n
+        slot[boundary[:, None, :] | boundary[None, :, :]] = 7 * n
         slots = slot.ravel()
         slots.setflags(write=False)
         return slots
@@ -187,18 +204,27 @@ def build_mesh(nx: int, ny: int, Lx: float, Ly: float) -> StructuredMesh:
 
 
 def triangle_gradients(mesh: StructuredMesh, f: np.ndarray) -> np.ndarray:
-    """Gradient of the piecewise-linear interpolant of f, one 2-vector per triangle."""
-    return np.einsum("tl,tld->td", f[mesh.triangles], mesh.grad_basis)
+    """Gradient of the piecewise-linear interpolant of f, one 2-vector per triangle.
+
+    Returns an (ntri, 2) view of the component-major (2, ntri) result.
+    """
+    fv = f[mesh.vertex_cols]
+    basis = mesh.basis_cols
+    g = fv[0] * basis[0]
+    g += fv[1] * basis[1]
+    g += fv[2] * basis[2]
+    return g.T
 
 
 def scatter_vertex_sums(mesh: StructuredMesh, per_vertex: np.ndarray) -> np.ndarray:
-    """Accumulate (ntri, 3) per-vertex contributions into nodal sums.
+    """Accumulate (3, ntri) per-vertex contributions into nodal sums.
 
-    The reduction is a commutative sum; any triangle ordering yields the
-    same result up to floating-point reassociation.
+    per_vertex[l, t] is added to node vertex_cols[l, t].  The reduction is
+    a commutative sum; any triangle ordering yields the same result up to
+    floating-point reassociation.
     """
     return np.bincount(
-        mesh.triangles.ravel(), weights=per_vertex.ravel(), minlength=mesh.n_nodes
+        mesh.vertex_cols.ravel(), weights=per_vertex.ravel(), minlength=mesh.n_nodes
     )
 
 

@@ -16,15 +16,21 @@ m_i, which keeps the pointwise nonlinearities decoupled across nodes.
 evaluate is the one home of both formulas: from one pass over the triangle
 gradients it returns a StepPoint with the energy, the residual and the
 gradient state (g, q and the flux weight); step_energy and step_residual
-read it.  Without its stiffness term the energy is a sum of functions of
-one nodal value each, and nodal_minimizer returns its minimizer node by
-node.  The Jacobian is linearized once per Newton iterate from the
-accepted StepPoint, reusing its gradient state: linearize builds the 3x3
-element matrix of every triangle and assembles them into seven stencil
-rows of length n, one per direction of the fixed 7-point stencil of the
+read it.  flux_state and stiffness_vector are the one home of that
+gradient state and of the stiffness action S, which the VI certificate of
+monitors reuses.  Without its stiffness term the energy is a sum of
+functions of one nodal value each, and nodal_minimizer returns its
+minimizer node by node.  The Jacobian is linearized once per Newton
+iterate from the accepted StepPoint, reusing its gradient state:
+linearize builds the 3x3 element matrices of all triangles one entry
+(a, b) at a time, as a row of length ntri (the component-major layout of
+mesh), and adds each entry row with np.add.at into seven stencil rows of
+length n, one per direction of the fixed 7-point stencil of the
 structured mesh (diagonal storage), with every Dirichlet entry dropped at
-assembly; step_jacobian_action multiplies each row by shifted slices of
-the zero-padded direction.
+assembly.  The additions run in the (a, b, t) slot order, so the rows are
+those of one bincount over all (3, 3, ntri) entries, but only one entry
+row is held at a time.  step_jacobian_action multiplies each row by
+shifted slices of the zero-padded direction.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ __all__ = [
     "StepPoint",
     "StepJacobian",
     "evaluate",
+    "flux_state",
+    "stiffness_vector",
     "nodal_minimizer",
     "step_energy",
     "step_residual",
@@ -144,9 +152,7 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
     m = mesh.lumped_mass
     alpha, eps = params.alpha, problem.eps
 
-    g = triangle_gradients(mesh, u)
-    q = np.einsum("td,td->t", g, g) + problem.delta**2
-    weight = flux_weight(q, mesh.areas * params.mu, params.p)
+    g, q, weight = flux_state(mesh, params, u, problem.delta)
 
     if eps == 0.0:
         pw = np.abs(u) ** alpha / alpha
@@ -162,7 +168,7 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
     grad_term = (mesh.areas * params.mu / params.p) * q ** (0.5 * params.p)
     energy = float(m @ nodal + grad_term.sum())
 
-    S = scatter_vertex_sums(mesh, np.einsum("td,tld->tl", weight[:, None] * g, mesh.grad_basis))
+    S = stiffness_vector(mesh, g, weight)
     phi_new = phi_power_reg(u, alpha, eps)
     F = (
         m * (phi_new - phi_prev) / problem.ell
@@ -172,6 +178,24 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
     )
     F[mesh.boundary_mask] = 0.0
     return StepPoint(u=u, energy=energy, residual=F, g=g, q=q, weight=weight)
+
+
+def flux_state(mesh: StructuredMesh, params: PhysicalParams, u: np.ndarray,
+               delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-triangle gradient g (ntri, 2) of u, q = |g|^2 + delta^2 and the
+    flux weight |T| mu q^((p-2)/2)."""
+    g = triangle_gradients(mesh, u)
+    gx, gy = g.T
+    q = gx * gx + gy * gy + delta**2
+    return g, q, flux_weight(q, mesh.areas * params.mu, params.p)
+
+
+def stiffness_vector(mesh: StructuredMesh, g: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Stiffness action S_i = sum_T weight_T g_T . grad hat_i at every node,
+    boundary nodes included."""
+    gx, gy = g.T
+    basis = mesh.basis_cols
+    return scatter_vertex_sums(mesh, basis[:, 0] * (weight * gx) + basis[:, 1] * (weight * gy))
 
 
 def nodal_minimizer(problem: StepProblem) -> np.ndarray:
@@ -275,13 +299,28 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
     # (p-2) weight / q, written as the weight law at exponent p - 2
     coef = flux_weight(q, mesh.areas * params.mu * (params.p - 2.0), params.p - 2.0)
 
-    gb = np.einsum("td,tld->tl", g, mesh.grad_basis)
-    K = weight[:, None, None] * mesh.grad_gram
-    K += (coef[:, None] * gb)[:, :, None] * gb[:, None, :]
+    # entry (a, b) of every element matrix, one row of length ntri at a
+    # time, added in the (a, b, t) slot order: the sums of one bincount
+    # over all entries.  The whole (3, 3, ntri) array with its temporaries
+    # outgrows glibc's heap trim threshold at 65^2, and freeing it could
+    # then trim and regrow the heap on every call
+    basis = mesh.basis_cols
+    gx, gy = g.T
+    gb = basis[:, 0] * gx + basis[:, 1] * gy
+    n = mesh.n_nodes
+    slots = mesh.stencil_slots.reshape(3, 3, mesh.n_triangles)
+    rows = np.zeros(7 * n + 1)
+    for a in range(3):
+        weight_a0 = weight * basis[a, 0]
+        weight_a1 = weight * basis[a, 1]
+        coef_gb_a = coef * gb[a]
+        for b in range(3):
+            entry = basis[b, 0] * weight_a0
+            entry += basis[b, 1] * weight_a1
+            entry += coef_gb_a * gb[b]
+            np.add.at(rows, slots[a, b], entry)
 
     # boundary entries land in the discard slot 7 n, so only the slope remains
-    n = mesh.n_nodes
-    rows = np.bincount(mesh.stencil_slots, K.ravel(), minlength=7 * n + 1)
     rows = rows[:7 * n].reshape(7, n)
     rows[0] += slope
     boundary = mesh.boundary_mask

@@ -3,8 +3,11 @@ tables, and full trajectory state dumps.
 
 Decimal output uses Python's shortest round-trip float representation, so
 writing and re-reading a field reproduces it bit for bit.  Every file can
-carry a metadata dict as JSON on a '#' line (a VTK file: in its title); the
-CLI writes the package version and the validated config of the run.
+carry a metadata dict as JSON on a '#' line; the CLI writes the package
+version and the validated config of the run.  A legacy VTK title holds at
+most 255 characters, so a VTK file names its run by version and config
+digest instead: 'shallowice <version> config sha256:<hex>', hashed from the
+same sorted JSON of the config that run_metadata.json holds.
 
 A run writes each state to `states.csv` and to its CSV and VTK snapshots,
 and formats it once: `SnapshotText` holds the text those files share (the
@@ -86,12 +89,25 @@ class SnapshotText:
 
     @cached_property
     def vtk_head(self) -> str:
-        """Every VTK header line before the SCALARS line."""
+        """Every VTK header line before the SCALARS line.
+
+        Without metadata the title is 'shallowice snapshot'; otherwise the
+        metadata must hold the 'version' and 'config' of the run, which the
+        title names by version and the sha256 of the config's sorted JSON.
+        """
         mesh = self.mesh
         hx, hy = mesh.spacing
         title = "shallowice snapshot"
         if self.metadata:
-            title = ("shallowice " + json.dumps(self.metadata, sort_keys=True))[:255]
+            if not {"version", "config"} <= self.metadata.keys():
+                raise ValueError("VTK metadata must hold the 'version' and 'config' of the run")
+            # imported here: loading hashlib (OpenSSL) costs every start-up
+            # about 5 ms, and only VTK titles need it
+            import hashlib
+
+            config = json.dumps(self.metadata["config"], sort_keys=True)
+            digest = hashlib.sha256(config.encode("utf-8")).hexdigest()
+            title = f"shallowice {self.metadata['version']} config sha256:{digest}"
         return (
             f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
             f"DATASET STRUCTURED_POINTS\nDIMENSIONS {mesh.nx} {mesh.ny} 1\n"

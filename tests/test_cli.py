@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -27,6 +29,19 @@ def write_config(path, outdir, **overrides):
 def read_monitor_row(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     return dict(zip(lines[0].split(","), lines[1].split(",")))
+
+
+def vtk_title_digest(path):
+    """The version and config digest named by the title of a VTK file."""
+    title = path.read_text(encoding="utf-8").splitlines()[1]
+    assert len(title) <= 255
+    match = re.fullmatch(r"shallowice (\S+) config sha256:([0-9a-f]{64})", title)
+    assert match, title
+    return match.group(1), match.group(2)
+
+
+def sha256_of_config(config):
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def read_metadata_line(path):
@@ -62,7 +77,8 @@ def test_run_deterministic_outputs(tmp_path):
 
 def test_run_saves_its_validated_config(tmp_path):
     # the package version and the validated config are the one record of a
-    # run: run_metadata.json, every CSV's '#' line and every VTK title
+    # run: run_metadata.json and every CSV's '#' line hold them, every VTK
+    # title names them by version and config digest
     cfg = write_config(tmp_path / "run.json", tmp_path / "out",
                        initial={"preset": "dome", "amplitude": 0.8},
                        forcing={"preset": "melt", "rate": -0.5},
@@ -82,8 +98,7 @@ def test_run_saves_its_validated_config(tmp_path):
     vtks = sorted(out.glob("*.vtk"))
     assert len(vtks) == 5
     for path in vtks:
-        assert path.read_text(encoding="utf-8").splitlines()[1] == (
-            "shallowice " + text)[:255]
+        assert vtk_title_digest(path) == (__version__, sha256_of_config(meta["config"]))
 
     # the saved config re-runs the run
     again = dict(meta["config"], output={**meta["config"]["output"],
@@ -95,6 +110,26 @@ def test_run_saves_its_validated_config(tmp_path):
         return (directory / "states.csv").read_text(encoding="utf-8").splitlines()[1:]
 
     assert state_rows(tmp_path / "again") == state_rows(out)
+
+
+def test_vtk_title_names_a_long_config(tmp_path):
+    # a config whose JSON is far past the 255-character VTK title limit
+    cfg = write_config(tmp_path / "run.json", tmp_path / "out",
+                       time={"T": 0.2, "N": 2},
+                       initial={"preset": "dome", "amplitude": 0.8},
+                       forcing={"preset": "melt", "rate": -0.5},
+                       penalty={"kappa": 1e-3, "delta": 1e-7, "eps": 1e-9},
+                       solver={"tol_residual": 1e-10, "max_newton": 40},
+                       output={"directory": str(tmp_path / "out" / ("long_name_" * 12)),
+                               "stride": 2, "formats": ["vtk"]})
+    assert cli(["run", str(cfg)]) == 0
+    out = tmp_path / "out" / ("long_name_" * 12)
+    meta = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))
+    assert len(json.dumps(meta, sort_keys=True)) > 2 * 255
+    vtks = sorted(out.glob("*.vtk"))
+    assert [p.name for p in vtks] == ["H_final.vtk", "u_000000.vtk", "u_000002.vtk"]
+    for path in vtks:
+        assert vtk_title_digest(path) == (meta["version"], sha256_of_config(meta["config"]))
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -111,15 +111,15 @@ def test_mesh_arrays_read_only(mesh3):
 
 
 def test_stencil_slots_address_element_entries():
-    # an element entry (t, a, b) coupling two interior nodes must land at
+    # an element entry (a, b, t) coupling two interior nodes must land at
     # slot k n + i with i = triangles[t, a] and triangles[t, b] = i + offsets[k];
     # every entry touching a boundary node lands in the discard slot 7 n
     for nx, ny in [(3, 3), (6, 4), (4, 7)]:
         mesh = build_mesh(nx, ny, 1.0, 1.0)
         n = mesh.n_nodes
-        slots = mesh.stencil_slots.reshape(-1, 3, 3)
-        row = np.repeat(mesh.triangles[:, :, None], 3, axis=2)
-        col = np.repeat(mesh.triangles[:, None, :], 3, axis=1)
+        slots = mesh.stencil_slots.reshape(3, 3, mesh.n_triangles)
+        row = np.repeat(mesh.triangles.T[:, None, :], 3, axis=1)
+        col = np.repeat(mesh.triangles.T[None, :, :], 3, axis=0)
         touches = mesh.boundary_mask[row] | mesh.boundary_mask[col]
         assert np.all(slots[touches] == 7 * n)
         k, i = np.divmod(slots[~touches], n)

@@ -7,6 +7,7 @@ from shallowice import (
     ConstantForcing,
     MeltForcing,
     TimeGrid,
+    average_forcing,
     compute_monitors,
     initial_thickness_field,
     kappa_sweep,
@@ -130,6 +131,51 @@ def test_vi_residual_certificate(mesh9):
     assert res >= -1e-8
 
 
+def gradient_pairing_vi_residual(traj, v):
+    """vi_residual of one test field, paired step by step through einsum
+    gradients of v^n - u^(n+1)."""
+    mesh, params = traj.mesh, traj.params
+    alpha, ell = params.alpha, traj.time_grid.ell
+    m = mesh.lumped_mass
+    vv = np.broadcast_to(v, (traj.N, mesh.n_nodes))
+
+    def grad(f):
+        return np.einsum("tl,tld->td", f[mesh.triangles], mesh.grad_basis)
+
+    def phi(u):
+        return np.sign(u) * np.abs(u) ** (alpha - 1.0)
+
+    total = -(m @ np.abs(traj.states[-1]) ** alpha
+              - m @ np.abs(traj.states[0]) ** alpha) * (alpha - 1.0) / alpha
+    for n in range(traj.N):
+        u_next = traj.states[n + 1]
+        g = grad(u_next)
+        q = np.einsum("td,td->t", g, g) + traj.delta**2
+        flux = (mesh.areas * params.mu * q ** (0.5 * (params.p - 2.0)))[:, None] * g
+        a_bar = average_forcing(params.forcing, n, traj.time_grid, mesh)
+        diff = vv[n] - u_next
+        total += m @ ((phi(u_next) - phi(traj.states[n])) * vv[n])
+        total += ell * np.einsum("td,td->", flux, grad(diff))
+        total -= ell * m @ (a_bar * diff)
+    return float(total)
+
+
+def test_vi_residual_matches_gradient_pairing(mesh9):
+    traj = melt_traj(mesh9)
+    u_plus = np.array([np.maximum(u, 0.0) for u in traj.states[1:]])
+    bump = zero_boundary(mesh9, poly_bump(mesh9))
+    ramp = np.outer(np.arange(1, traj.N + 1) / traj.N, bump)
+    family = [bump, 3.0 * bump, traj.states[0], u_plus, u_plus + 0.5 * bump, ramp,
+              u_plus[::-1]]
+    values = []
+    for v in family:
+        ref = gradient_pairing_vi_residual(traj, v)
+        got = vi_residual(traj, [v])
+        assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+        values.append(got)
+    assert vi_residual(traj, family) == min(values)
+
+
 def test_vi_residual_rejects_bad_fields(mesh9):
     traj = melt_traj(mesh9)
     with pytest.raises(ValueError):
@@ -201,8 +247,14 @@ def test_monitor_assembly_order_invariance(mesh5):
         areas=mesh5.areas[perm],
         grad_basis=mesh5.grad_basis[perm],
     )
-    traj2 = dataclasses.replace(traj, mesh=shuffled)
+    traj2 = dataclasses.replace(
+        traj, mesh=shuffled,
+        params=dataclasses.replace(traj.params, mu=traj.params.mu[perm]))
     rec2 = compute_monitors(traj2, 1e-3)
     for name in ("est1", "est2", "est3", "est4", "est5_1", "neg_norm"):
         a, b = getattr(rec1, name), getattr(rec2, name)
         assert abs(a - b) <= 1e-13 * max(abs(a), 1e-300)
+    bump = zero_boundary(mesh5, poly_bump(mesh5))
+    family = [bump, np.array([np.maximum(u, 0.0) for u in traj.states[1:]])]
+    a, b = vi_residual(traj, family), vi_residual(traj2, family)
+    assert abs(a - b) <= 1e-13 * abs(a)

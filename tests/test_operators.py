@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,6 +43,17 @@ def hand_assembled_stiffness(mesh, mu=1.0):
     return K
 
 
+def einsum_gradients(mesh, f):
+    """Per-triangle gradients by einsum over the (ntri, 3, 2) hat gradients."""
+    return np.einsum("tl,tld->td", f[mesh.triangles], mesh.grad_basis)
+
+
+def einsum_scatter(mesh, per_vertex):
+    """Nodal sums of (ntri, 3) per-vertex values, in triangle order."""
+    return np.bincount(mesh.triangles.ravel(), weights=per_vertex.ravel(),
+                       minlength=mesh.n_nodes)
+
+
 def element_jacobian_action(prob, u, w):
     """Element-by-element Jacobian action: gather, 3x3 contraction per
     triangle, scatter, plus the nodal time and penalty slope."""
@@ -50,7 +62,7 @@ def element_jacobian_action(prob, u, w):
     u_slope = u if prob.eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
     slope = m * dphi_power_reg(u_slope, params.alpha, prob.eps) / prob.ell
     slope = slope + (m / prob.kappa) * (u < 0.0)
-    g = triangle_gradients(mesh, u)
+    g = einsum_gradients(mesh, u)
     q = np.einsum("td,td->t", g, g) + prob.delta**2
     weight = mesh.areas * params.mu * q ** ((params.p - 2.0) / 2.0)
     coef = (params.p - 2.0) * weight / q
@@ -58,7 +70,7 @@ def element_jacobian_action(prob, u, w):
     K = weight[:, None, None] * np.einsum("tid,tjd->tij", mesh.grad_basis, mesh.grad_basis)
     K += coef[:, None, None] * gb[:, :, None] * gb[:, None, :]
     w = zero_boundary(mesh, w)
-    out = slope * w + scatter_vertex_sums(mesh, np.einsum("tij,tj->ti", K, w[mesh.triangles]))
+    out = slope * w + einsum_scatter(mesh, np.einsum("tij,tj->ti", K, w[mesh.triangles]))
     out[mesh.boundary_mask] = 0.0
     return out
 
@@ -264,6 +276,53 @@ def test_jacobian_matches_element_reference():
             Jw = step_jacobian_action(linearize(prob, evaluate(prob, u)), w)
             ref = element_jacobian_action(prob, u, w)
             assert np.max(np.abs(Jw - ref)) <= 1e-13 * np.max(np.abs(ref)), (nx, ny, p)
+
+
+def test_kernels_match_einsum_reference(mesh5):
+    # the component-major kernels against the (ntri, 3, 2) einsum forms, on
+    # a mesh with permuted triangles and on a non-square one
+    rng = np.random.default_rng(22)
+    perm = rng.permutation(mesh5.n_triangles)
+    permuted = dataclasses.replace(mesh5, triangles=mesh5.triangles[perm],
+                                   areas=mesh5.areas[perm],
+                                   grad_basis=mesh5.grad_basis[perm])
+    for mesh in (permuted, build_mesh(10, 14, 2.0, 1.5)):
+        f = rng.uniform(-2.0, 2.0, mesh.n_nodes)
+        ref = einsum_gradients(mesh, f)
+        g = triangle_gradients(mesh, f)
+        assert g.shape == (mesh.n_triangles, 2)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+        per_vertex = rng.uniform(-1.0, 1.0, (mesh.n_triangles, 3))
+        ref = einsum_scatter(mesh, per_vertex)
+        sums = scatter_vertex_sums(mesh, per_vertex.T)
+        assert np.max(np.abs(sums - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+        for p in JACOBIAN_PS:
+            prob = make_problem(mesh, p=p, seed=13)
+            u = random_state(mesh, rng)
+            w = random_state(mesh, rng)
+            Jw = step_jacobian_action(linearize(prob, evaluate(prob, u)), w)
+            ref = element_jacobian_action(prob, u, w)
+            assert np.max(np.abs(Jw - ref)) <= 1e-13 * np.max(np.abs(ref)), (mesh.nx, p)
+
+
+def test_linearize_never_holds_all_element_entries():
+    # linearize adds the element matrices to the stencil rows one entry row
+    # at a time; holding all (3, 3, ntri) entries at once, with their
+    # temporaries, took 2.8 times their bytes beyond the returned rows
+    mesh = build_mesh(33, 33, 1.0, 1.0)
+    prob = make_problem(mesh, seed=14)
+    point = evaluate(prob, random_state(mesh, np.random.default_rng(23)))
+    linearize(prob, point)  # builds the cached stencil slots
+    tracemalloc.start()
+    try:
+        jac = linearize(prob, point)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jac.rows.shape == (7, mesh.n_nodes)
+    assert peak - kept < 1.5 * (9 * mesh.n_triangles * 8)
 
 
 def test_jacobian_ignores_boundary_direction(mesh9):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -139,7 +141,7 @@ def test_formatted_field_writes_numeric_bytes(tmp_path, mesh3):
     field = np.resize(np.array(AWKWARD), mesh3.n_nodes)
     field[1::2] *= -1.0
     fields = [field, field[::-1].copy()]
-    for metadata in (None, {"kappa": 1e-3, "p": 3.0}):
+    for metadata in (None, {"version": "0.0", "config": {"kappa": 1e-3, "p": 3.0}}):
         text = SnapshotText(mesh3, metadata)
         for kind, values in (("numeric", fields), ("text", [text.field(u) for u in fields])):
             out = tmp_path / kind
@@ -151,8 +153,20 @@ def test_formatted_field_writes_numeric_bytes(tmp_path, mesh3):
         for name in ("H.csv", "H.vtk", "states.csv"):
             expected = (tmp_path / "numeric" / name).read_bytes()
             assert (tmp_path / "text" / name).read_bytes() == expected
-            assert (b'"kappa": 0.001' in expected) == (metadata is not None)
+            named = b"config sha256:" if name == "H.vtk" else b'"kappa": 0.001'
+            assert (named in expected) == (metadata is not None)
     assert "5e-324" in (tmp_path / "text" / "H.vtk").read_text()
+
+
+def test_vtk_title_needs_the_run_version_and_config(tmp_path, mesh3):
+    config = {"domain": {"nx": 3}, "notes": "x" * 400}
+    path = tmp_path / "u.vtk"
+    write_snapshot(np.zeros(9), mesh3, path, "vtk",
+                   metadata={"version": "1.2.3", "config": config, "kappas": [1.0]})
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    assert path.read_text().splitlines()[1] == f"shallowice 1.2.3 config sha256:{digest}"
+    with pytest.raises(ValueError, match="version"):
+        write_snapshot(np.zeros(9), mesh3, path, "vtk", metadata={"kappa": 1e-3})
 
 
 def test_formatted_field_needs_its_mesh_and_metadata(tmp_path, mesh3):
