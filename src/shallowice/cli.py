@@ -139,6 +139,11 @@ def _cmd_sweep(args) -> int:
                           lambda k: 0 < k < np.inf, "positive numbers")
     if any(b >= a for a, b in zip(kappas, kappas[1:])):
         raise ConfigError("--kappas must be strictly decreasing")
+    row_dirs = {kappa: f"kappa_{kappa:g}" for kappa in kappas}
+    named = {}
+    for kappa, name in row_dirs.items():
+        if named.setdefault(name, kappa) != kappa:
+            raise ConfigError(f"--kappas {named[name]!r} and {kappa!r} both write {name}")
     config = load_config(args.config)
     setup = build_setup(config, Path(args.config).parent)
 
@@ -150,7 +155,7 @@ def _cmd_sweep(args) -> int:
     write_sweep_csv(result.table(), outdir / "sweep.csv",
                     metadata=_provenance(config, kappas=kappas))
     for row in result.rows:
-        subdir = outdir / f"kappa_{row.kappa:g}"
+        subdir = outdir / row_dirs[row.kappa]
         subdir.mkdir(parents=True, exist_ok=True)
         if row.error is not None:
             (subdir / "FAILED").write_text(row.error + "\n", encoding="utf-8")

@@ -11,7 +11,8 @@ The per-triangle kernels run component-major: `vertex_cols` (3, ntri) and
 contiguous rows of length ntri, derived once from `triangles` and
 `grad_basis`.  A gradient is then a gather and six multiply-adds on such
 rows, per-vertex sums are scattered by one bincount over the raveled
-rows, and element matrices by adding each entry row at its stencil slots.
+rows, and the symmetric element matrices by adding the row of each upper
+entry (PAIRS) at its slots in the diagonal and three upper stencil rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ __all__ = [
     "require_nodal",
     "require_constrained",
 ]
+
+# the upper entries (a, b), a <= b, of a symmetric 3x3 element matrix
+PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 @dataclass
@@ -87,41 +91,32 @@ class StructuredMesh:
 
     @cached_property
     def stencil_slots(self) -> np.ndarray:
-        """(9 ntri,) read-only slot k n + i of each element entry, or 7 n.
+        """(6 ntri,) read-only slot k n + min(i, j) of each upper element entry, or 4 n.
 
-        Entry (a, b, t) of the (3, 3, ntri) element matrices couples row
-        i = vertex_cols[a, t] to column vertex_cols[b, t] = i + _stencil_offsets(nx)[k]
-        and lands at slot k n + i of the column-major (7, n) stencil, so
-        summing element matrices into stencil rows is a scatter-add over
-        these slots.  Every entry whose row or column is a boundary node
-        lands in the discard slot 7 n instead.  Slots are stored in that
-        (a, b, t) order.
+        Entry (a, b) = PAIRS[e] of triangle t couples nodes
+        i = vertex_cols[a, t] and j = vertex_cols[b, t], |j - i| = _stencil_offsets(nx)[k],
+        and lands at slot k n + min(i, j) of the column-major (4, n) stencil
+        rows, so summing element matrices into stencil rows is a scatter-add
+        over these slots.  Every entry touching a boundary node lands in the
+        discard slot 4 n instead.  Slots are stored in that (e, t) order.
         """
         n = self.n_nodes
-        reach = self.nx + 1
-        lookup = np.full(2 * reach + 1, -1, dtype=np.intp)
-        lookup[_stencil_offsets(self.nx) + reach] = np.arange(7)
-        tri = self.vertex_cols
-        rows = tri[:, None, :]  # vertex_cols[a, t] at (a, b, t)
-        offset = tri[None, :, :] - rows
-        offset += reach
-        if offset.min() < 0 or offset.max() > 2 * reach:
+        i, j = self.vertex_cols[np.array(PAIRS).T]  # (6, ntri) each
+        offset = np.abs(j - i)
+        offsets = _stencil_offsets(self.nx)
+        k = np.minimum(np.searchsorted(offsets, offset), len(offsets) - 1)
+        if not np.array_equal(offsets[k], offset):
             raise ValueError("a triangle couples nodes outside the 7-point stencil")
-        slot = lookup[offset]
-        if slot.min() < 0:
-            raise ValueError("a triangle couples nodes outside the 7-point stencil")
-        slot *= n
-        slot += rows
-        boundary = self.boundary_mask[tri]
-        slot[boundary[:, None, :] | boundary[None, :, :]] = 7 * n
+        slot = k * n + np.minimum(i, j)
+        slot[self.boundary_mask[i] | self.boundary_mask[j]] = 4 * n
         slots = slot.ravel()
         slots.setflags(write=False)
         return slots
 
 
 def _stencil_offsets(nx: int) -> np.ndarray:
-    """Node offsets (0, +1, -1, +nx, -nx, +nx+1, -nx-1) of the 7-point stencil."""
-    return np.array([0, 1, -1, nx, -nx, nx + 1, -nx - 1])
+    """Node offsets (0, +1, +nx, +nx+1) of the upper half of the 7-point stencil."""
+    return np.array([0, 1, nx, nx + 1])
 
 
 def build_mesh(nx: int, ny: int, Lx: float, Ly: float) -> StructuredMesh:

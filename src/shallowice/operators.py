@@ -22,24 +22,23 @@ monitors reuses.  Without its stiffness term the energy is a sum of
 functions of one nodal value each, and nodal_minimizer returns its
 minimizer node by node.  The Jacobian is linearized once per Newton
 iterate from the accepted StepPoint, reusing its gradient state:
-linearize builds the 3x3 element matrices of all triangles one entry
-(a, b) at a time, as a row of length ntri (the component-major layout of
-mesh), and adds each entry row with np.add.at into seven stencil rows of
-length n, one per direction of the fixed 7-point stencil of the
-structured mesh (diagonal storage), with every Dirichlet entry dropped at
-assembly.  The additions run in the (a, b, t) slot order, so the rows are
-those of one bincount over all (3, 3, ntri) entries, but only one entry
-row is held at a time.  step_jacobian_action multiplies each row by
-shifted slices of the zero-padded direction.
+linearize builds the six upper entries (mesh.PAIRS) of the symmetric 3x3
+element matrices one at a time, as a row of length ntri, and adds each
+with np.add.at into four rows of length n: the diagonal and the couplings
+at offsets +1, +nx and +nx+1 of the 7-point stencil (symmetric diagonal
+storage), with every Dirichlet entry dropped at assembly.  Each coupling
+is stored once for both its nodes, so the Jacobian is exactly symmetric.
+step_jacobian_action applies each off-diagonal row by two shifted slices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mesh import (
+    PAIRS,
     StructuredMesh,
     _stencil_offsets,
     require_constrained,
@@ -87,7 +86,7 @@ class StepProblem:
     the degenerate p-Laplacian (|grad u|^2 -> |grad u|^2 + delta^2) and
     eps >= 0 smooths the singular power slope at u = 0.  Both enter the
     residual and energy consistently, so gradient relations hold for every
-    configured value.
+    configured value.  phi_prev = phi(u_prev) is derived from u_prev.
     """
 
     mesh: StructuredMesh
@@ -98,6 +97,7 @@ class StepProblem:
     kappa: float
     delta: float = DEFAULT_DELTA
     eps: float = DEFAULT_EPS
+    phi_prev: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.ell > 0:
@@ -110,6 +110,7 @@ class StepProblem:
             raise ValueError("params.mu does not match the mesh triangle count")
         self.u_prev = require_constrained(self.mesh, self.u_prev, "u_prev")
         self.a_bar = require_nodal(self.mesh, self.a_bar, "a_bar")
+        self.phi_prev = signed_power(self.u_prev, self.params.alpha - 1.0)
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,9 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
         pw = np.abs(u) ** alpha / alpha
     else:
         pw = ((u * u + eps * eps) ** (0.5 * alpha) - eps**alpha) / alpha
-    phi_prev = signed_power(problem.u_prev, alpha - 1.0)
     nodal = (
         pw / problem.ell
-        - phi_prev * u / problem.ell
+        - problem.phi_prev * u / problem.ell
         + np.minimum(u, 0.0) ** 2 / (2.0 * problem.kappa)
         - problem.a_bar * u
     )
@@ -171,7 +171,7 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
     S = stiffness_vector(mesh, g, weight)
     phi_new = phi_power_reg(u, alpha, eps)
     F = (
-        m * (phi_new - phi_prev) / problem.ell
+        m * (phi_new - problem.phi_prev) / problem.ell
         + S
         + (m / problem.kappa) * np.minimum(u, 0.0)
         - m * problem.a_bar
@@ -218,7 +218,7 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
     """
     alpha, eps = problem.params.alpha, problem.eps
     ell, kappa = problem.ell, problem.kappa
-    r = signed_power(problem.u_prev, alpha - 1.0) / ell + problem.a_bar
+    r = problem.phi_prev / ell + problem.a_bar
     up = r >= 0.0
     root = 1.0 / (alpha - 1.0)
     closed = (ell * np.abs(r)) ** root
@@ -234,8 +234,7 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
         f = phi_power_reg(u, alpha, eps) / ell + np.minimum(u, 0.0) / kappa - r
         lo = np.where(f <= 0.0, u, lo)
         hi = np.where(f >= 0.0, u, hi)
-        u_slope = u if eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
-        slope = dphi_power_reg(u_slope, alpha, eps) / ell + (u < 0.0) / kappa
+        slope = _power_slope(u, alpha, eps) / ell + (u < 0.0) / kappa
         new = u - f / slope
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
         # a NaN input stays NaN and counts as settled
@@ -245,6 +244,12 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
             break
     u[problem.mesh.boundary_mask] = 0.0
     return u
+
+
+def _power_slope(u: np.ndarray, alpha: float, eps: float) -> np.ndarray:
+    """dphi_power_reg at u; at eps = 0 evaluated at max(|u|, SINGULAR_STATE)."""
+    u_slope = u if eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
+    return dphi_power_reg(u_slope, alpha, eps)
 
 
 def step_energy(problem: StepProblem, u: np.ndarray) -> float:
@@ -261,9 +266,9 @@ def step_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
 class StepJacobian:
     """Step Jacobian at one state, assembled once for repeated application.
 
-    rows   (7, n) stencil rows, rows[k, i] coupling node i to node
-           i + _stencil_offsets(nx)[k] (diagonal layout); every entry whose
-           row or column is a boundary node is 0
+    rows   (4, n) stencil rows, rows[k, i] = J[i, i + o] = J[i + o, i] with
+           o = _stencil_offsets(nx)[k] (symmetric diagonal layout); every
+           entry touching a boundary node is 0
     diag   Jacobi diagonal, rows[0] with 1 on boundary rows
     """
 
@@ -278,10 +283,10 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
     On triangle T with hat gradients B_T (rows) and state gradient g_T,
     K_T = weight_T B_T B_T^T + coef_T (B_T g_T)(B_T g_T)^T, where
     weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q, with g, q and
-    weight taken from the point; the element
-    matrices are summed into rows, and the nodal time and penalty slope is
-    added on the diagonal.  The Jacobian is symmetric positive
-    semidefinite as a bilinear form (definite for eps > 0).  The
+    weight taken from the point; the upper entries of the symmetric
+    element matrices are summed into rows, and the nodal time and penalty
+    slope is added on the diagonal.  The Jacobian is exactly symmetric and
+    positive semidefinite as a bilinear form (definite for eps > 0).  The
     generalized slope of min(u, 0) is 1/kappa where u < 0 and 0 at u = 0
     (active-set convention).  At eps = 0 the power slope is evaluated at
     max(|u|, SINGULAR_STATE), which changes only the Newton direction,
@@ -292,36 +297,31 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
     u, g, q, weight = point.u, point.g, point.q, point.weight
 
     m = mesh.lumped_mass
-    u_slope = u if problem.eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
-    slope = m * dphi_power_reg(u_slope, params.alpha, problem.eps) / problem.ell
+    slope = m * _power_slope(u, params.alpha, problem.eps) / problem.ell
     slope = slope + (m / problem.kappa) * (u < 0.0)
 
     # (p-2) weight / q, written as the weight law at exponent p - 2
     coef = flux_weight(q, mesh.areas * params.mu * (params.p - 2.0), params.p - 2.0)
 
-    # entry (a, b) of every element matrix, one row of length ntri at a
-    # time, added in the (a, b, t) slot order: the sums of one bincount
-    # over all entries.  The whole (3, 3, ntri) array with its temporaries
-    # outgrows glibc's heap trim threshold at 65^2, and freeing it could
-    # then trim and regrow the heap on every call
+    # entry PAIRS[e] of every element matrix, one row of length ntri at a
+    # time, added in the (e, t) slot order: the sums of one bincount over
+    # all entries.  The whole (6, ntri) array with its temporaries outgrows
+    # glibc's heap trim threshold at 65^2, and freeing it could then trim
+    # and regrow the heap on every call
     basis = mesh.basis_cols
     gx, gy = g.T
     gb = basis[:, 0] * gx + basis[:, 1] * gy
     n = mesh.n_nodes
-    slots = mesh.stencil_slots.reshape(3, 3, mesh.n_triangles)
-    rows = np.zeros(7 * n + 1)
-    for a in range(3):
-        weight_a0 = weight * basis[a, 0]
-        weight_a1 = weight * basis[a, 1]
-        coef_gb_a = coef * gb[a]
-        for b in range(3):
-            entry = basis[b, 0] * weight_a0
-            entry += basis[b, 1] * weight_a1
-            entry += coef_gb_a * gb[b]
-            np.add.at(rows, slots[a, b], entry)
+    slots = mesh.stencil_slots.reshape(len(PAIRS), mesh.n_triangles)
+    rows = np.zeros(4 * n + 1)
+    for (a, b), pair_slots in zip(PAIRS, slots):
+        entry = basis[b, 0] * (weight * basis[a, 0])
+        entry += basis[b, 1] * (weight * basis[a, 1])
+        entry += (coef * gb[a]) * gb[b]
+        np.add.at(rows, pair_slots, entry)
 
-    # boundary entries land in the discard slot 7 n, so only the slope remains
-    rows = rows[:7 * n].reshape(7, n)
+    # boundary entries land in the discard slot 4 n, so only the slope remains
+    rows = rows[:4 * n].reshape(4, n)
     rows[0] += slope
     boundary = mesh.boundary_mask
     rows[0, boundary] = 0.0
@@ -333,19 +333,18 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
 def step_jacobian_action(jac: StepJacobian, w: np.ndarray) -> np.ndarray:
     """Jacobian of step_residual, as linearized in jac, applied to w.
 
-    Sums rows[k] times w, zero-padded by nx + 1 on each side and shifted by
-    stencil offset k, in the order k = 0..6; interior rows never reach the
-    padding.  Boundary rows of the result are zero and finite boundary
-    entries of w are ignored.
+    Adds to rows[0] w each coupling rows[k, i] of nodes i and i + o twice,
+    times w[i + o] at node i and times w[i] at node i + o, in the order
+    o = 1, nx, nx + 1.  Boundary rows of the result are zero and finite
+    boundary entries of w are ignored.
     """
     mesh = jac.mesh
     w = require_nodal(mesh, w, "w")
-    n, pad = mesh.n_nodes, mesh.nx + 1
-    padded = np.zeros(n + 2 * pad)
-    padded[pad:pad + n] = w
     out = jac.rows[0] * w
     for k, offset in enumerate(_stencil_offsets(mesh.nx)[1:], start=1):
-        out += jac.rows[k] * padded[pad + offset:pad + offset + n]
+        r = jac.rows[k, :-offset]
+        out[:-offset] += r * w[offset:]
+        out[offset:] += r * w[:-offset]
     return out
 
 

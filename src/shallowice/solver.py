@@ -9,7 +9,7 @@ guess.  The guess wins where the stiffness term dominates, as under
 accumulation; the nodal minimizer wins where the nodal terms do, as where
 melt or a stiff penalty moves the state far within one step.  Each
 Newton iterate takes one path.  The residual is linearized once and
-assembled into the (7, n) rows of the 7-point stencil, with the Dirichlet
+assembled into the symmetric (4, n) stencil rows, with the Dirichlet
 entries dropped at assembly.  A Jacobi-preconditioned truncated
 conjugate-gradient solve, applying the rows by shifted slices, gives a
 descent direction, and one backtracking line search on the step energy

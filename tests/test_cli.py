@@ -277,6 +277,10 @@ def test_sweep_rejects_bad_kappas(tmp_path, capsys):
     assert cli(["sweep", str(cfg), "--kappas", "abc"]) == 2
     assert cli(["sweep", str(cfg), "--kappas", ","]) == 2
     assert cli(["sweep", str(cfg), "--kappas", "1e-2,-1e-3"]) == 2
+    # two kappas whose rows would share one directory
+    assert cli(["sweep", str(cfg), "--kappas", "1e-3,9.999999e-4"]) == 2
+    assert "--kappas 0.001 and 0.0009999999 both write kappa_0.001" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     for extra in (["--meshes", "9,abc"], ["--meshes", ","], ["--meshes", "2"],
                   ["--steps", "0"], ["--steps", "x"], ["--spatial-steps", "0"]):
         assert cli(["mms", str(cfg), *extra]) == 2

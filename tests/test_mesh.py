@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shallowice import build_mesh
-from shallowice.mesh import _stencil_offsets, triangle_gradients
+from shallowice.mesh import PAIRS, _stencil_offsets, triangle_gradients
 
 
 def shoelace_area(pts):
@@ -111,20 +111,22 @@ def test_mesh_arrays_read_only(mesh3):
 
 
 def test_stencil_slots_address_element_entries():
-    # an element entry (a, b, t) coupling two interior nodes must land at
-    # slot k n + i with i = triangles[t, a] and triangles[t, b] = i + offsets[k];
-    # every entry touching a boundary node lands in the discard slot 7 n
+    # an element entry (a, b) = PAIRS[e] of triangle t couples the nodes
+    # i = triangles[t, a] and j = triangles[t, b]; between two interior
+    # nodes it must land at slot k n + min(i, j) with |j - i| = offsets[k];
+    # every entry touching a boundary node lands in the discard slot 4 n
+    assert sorted(PAIRS) == [(a, b) for a in range(3) for b in range(a, 3)]
     for nx, ny in [(3, 3), (6, 4), (4, 7)]:
         mesh = build_mesh(nx, ny, 1.0, 1.0)
         n = mesh.n_nodes
-        slots = mesh.stencil_slots.reshape(3, 3, mesh.n_triangles)
-        row = np.repeat(mesh.triangles.T[:, None, :], 3, axis=1)
-        col = np.repeat(mesh.triangles.T[None, :, :], 3, axis=0)
-        touches = mesh.boundary_mask[row] | mesh.boundary_mask[col]
-        assert np.all(slots[touches] == 7 * n)
-        k, i = np.divmod(slots[~touches], n)
-        assert np.array_equal(i, row[~touches])
-        assert np.array_equal(i + _stencil_offsets(nx)[k], col[~touches])
+        slots = mesh.stencil_slots.reshape(len(PAIRS), mesh.n_triangles)
+        a, b = np.array(PAIRS).T
+        i, j = mesh.triangles.T[a], mesh.triangles.T[b]
+        touches = mesh.boundary_mask[i] | mesh.boundary_mask[j]
+        assert np.all(slots[touches] == 4 * n)
+        k, lo = np.divmod(slots[~touches], n)
+        assert np.array_equal(lo, np.minimum(i, j)[~touches])
+        assert np.array_equal(_stencil_offsets(nx)[k], np.abs(j - i)[~touches])
         with pytest.raises(ValueError):
             mesh.stencil_slots[0] = 1
 
