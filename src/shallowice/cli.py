@@ -3,7 +3,9 @@
 Subcommands: run (single trajectory plus monitors), sweep (penalty
 continuation), mms (manufactured-solution convergence study), verify
 (oracle and inequality suites), monitors (recompute monitors from saved
-states).  Exit codes: 0 success, 1 solver failure, 2 configuration error.
+states).  cli() maps every failure to its exit code: 0 success, 1 solver
+failure, 2 configuration error or unusable file (output directories are
+made before the solve).
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ def _provenance(config: dict, **extra) -> dict:
 
 
 def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
-    outdir.mkdir(parents=True, exist_ok=True)
     write_run_metadata(meta, outdir / "run_metadata.json")
     # each state is formatted once, by states.csv, and its snapshots reuse it
     text = SnapshotText(setup.mesh, meta)
@@ -120,12 +121,9 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     setup = build_setup(config, Path(args.config).parent)
     outdir = Path(setup.output["directory"])
-    try:
-        traj = run(setup.mesh, setup.params, setup.time_grid, setup.kappa,
-                   setup.solver_config, delta=setup.delta, eps=setup.eps)
-    except MarchError as err:
-        print(f"run failed at step {err.step_index}: {err.cause}", file=sys.stderr)
-        return 1
+    outdir.mkdir(parents=True, exist_ok=True)
+    traj = run(setup.mesh, setup.params, setup.time_grid, setup.kappa,
+               setup.solver_config, delta=setup.delta, eps=setup.eps)
     record = _write_run_outputs(setup, traj, outdir, _provenance(config))
     iters = sum(d.iterations for d in traj.step_diagnostics)
     print(f"completed {traj.N} steps ({iters} Newton iterations) -> {outdir}")
@@ -146,17 +144,17 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--kappas {named[name]!r} and {kappa!r} both write {name}")
     config = load_config(args.config)
     setup = build_setup(config, Path(args.config).parent)
+    outdir = Path(setup.output["directory"])
+    for name in row_dirs.values():
+        (outdir / name).mkdir(parents=True, exist_ok=True)
 
     result = kappa_sweep(setup.mesh, setup.params, setup.time_grid,
                          setup.solver_config, kappas,
                          delta=setup.delta, eps=setup.eps)
-    outdir = Path(setup.output["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result.table(), outdir / "sweep.csv",
                     metadata=_provenance(config, kappas=kappas))
     for row in result.rows:
         subdir = outdir / row_dirs[row.kappa]
-        subdir.mkdir(parents=True, exist_ok=True)
         if row.error is not None:
             (subdir / "FAILED").write_text(row.error + "\n", encoding="utf-8")
             continue
@@ -195,17 +193,16 @@ def _cmd_mms(args) -> int:
                              "step counts >= 1")
     mu = physics["mu"]
     if isinstance(mu, str):
-        print("mms study requires a constant mu", file=sys.stderr)
-        return 2
+        raise ConfigError("physics.mu: the mms study requires a constant mu")
     if mu is None:
         mu = glen_mu(physics["A_const"], physics["rho_g"], physics["p"])
+    outdir = Path(config["output"]["directory"])
+    outdir.mkdir(parents=True, exist_ok=True)
     case = MmsCase(Lx=domain["Lx"], Ly=domain["Ly"], T=time["T"])
     table = mms_convergence(case, physics["p"], mu, meshes, steps,
                             penalty["kappa"], SolverConfig(**config["solver"]),
                             spatial_N=args.spatial_steps,
                             delta=penalty["delta"], eps=penalty["eps"])
-    outdir = Path(config["output"]["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = [{"study": "temporal", "nx": meshes[-1], "N": N, "error": err}
             for N, err in table.temporal]
     rows += [{"study": "spatial", "nx": nx,
@@ -275,8 +272,7 @@ def _cmd_monitors(args) -> int:
     meta_path = outdir / "run_metadata.json"
     states_path = outdir / "states.csv"
     if not meta_path.exists() or not states_path.exists():
-        print(f"{outdir} lacks run_metadata.json/states.csv", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{outdir} lacks run_metadata.json/states.csv")
     try:
         meta = read_run_metadata(meta_path)
         states = read_states_csv(states_path)
@@ -287,12 +283,10 @@ def _cmd_monitors(args) -> int:
         p, kappa, delta, eps = (config["physics"]["p"], pen["kappa"],
                                 pen["delta"], pen["eps"])
     except (ValueError, KeyError, TypeError) as err:
-        print(f"{outdir}: cannot read the saved run: {err!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{outdir}: cannot read the saved run: {err!r}") from err
     if len(states) != grid.N + 1 or any(u.shape != (mesh.n_nodes,) for u in states):
-        print(f"{outdir}: states.csv needs {grid.N + 1} rows of {mesh.n_nodes} "
-              f"values, as run_metadata.json says", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{outdir}: states.csv needs {grid.N + 1} rows of "
+                          f"{mesh.n_nodes} values, as run_metadata.json says")
     # monitors depend on p but not on the forcing or mu, so those are
     # placeholders; the run warned about its own inputs when it was made
     try:
@@ -300,9 +294,8 @@ def _cmd_monitors(args) -> int:
             warnings.simplefilter("ignore")
             params = make_params(mesh, p, ConstantForcing(0.0), u0=states[0], mu=1.0)
     except ValueError as err:
-        print(f"{outdir}: the first row of states.csv is not an initial state: {err}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"{outdir}: the first row of states.csv is not an "
+                          f"initial state: {err}") from err
     traj = Trajectory(
         states=states, step_diagnostics=[], time_grid=grid, mesh=mesh,
         params=params, kappa=kappa, delta=delta, eps=eps,
@@ -327,6 +320,9 @@ def cli(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
         return 2
     except (SolverError, MarchError) as err:
         print(f"solver failure: {err}", file=sys.stderr)

@@ -6,12 +6,16 @@ exist only for solver knobs, regularizations, and output options.  Unknown
 keys are errors, so typos cannot silently change a run.  This dict, with
 the package version, is the whole description of a run that the CLI saves
 beside its output.
+
+FORCING_CLASSES maps each forcing preset but gridded to its dataclass,
+whose fields are the preset's numeric keys; FORCING_CHECKS holds the range
+checks of some fields.  Only gridded, a CSV file, has code of its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +67,17 @@ class MissingField(ConfigError):
         self.fieldname = fieldname
 
 
-FORCING_PRESETS = ("constant", "linear_t", "seasonal", "melt", "gridded")
+FORCING_CLASSES = {
+    "constant": forcing_mod.ConstantForcing,
+    "linear_t": forcing_mod.LinearForcing,
+    "seasonal": forcing_mod.SeasonalForcing,
+    "melt": forcing_mod.MeltForcing,
+}
+FORCING_CHECKS = {
+    "rate": (lambda v: v < 0, "must be negative"),
+    "period": (lambda v: v > 0, "must be positive"),
+}
+FORCING_PRESETS = (*FORCING_CLASSES, "gridded")
 INITIAL_PRESETS = ("dome", "zero", "bump")
 OUTPUT_FORMATS = ("csv", "vtk")
 
@@ -187,21 +201,11 @@ def parse_config(text: str) -> dict:
     preset = forc.require("preset", str, lambda v: v in FORCING_PRESETS,
                           f"must be one of {FORCING_PRESETS}")
     forcing = {"preset": preset}
-    if preset == "constant":
-        forcing["value"] = forc.require("value", float)
-    elif preset == "linear_t":
-        forcing["a0"] = forc.require("a0", float)
-        forcing["a1"] = forc.require("a1", float)
-    elif preset == "seasonal":
-        forcing["base"] = forc.require("base", float)
-        forcing["amplitude"] = forc.require("amplitude", float)
-        forcing["period"] = forc.require("period", float, lambda v: v > 0,
-                                         "must be positive")
-    elif preset == "melt":
-        forcing["rate"] = forc.require("rate", float, lambda v: v < 0,
-                                       "must be negative")
-    elif preset == "gridded":
+    if preset == "gridded":
         forcing["csv"] = forc.require("csv", str)
+    else:
+        for key in (f.name for f in fields(FORCING_CLASSES[preset])):
+            forcing[key] = forc.require(key, float, *FORCING_CHECKS.get(key, ()))
     forc.reject_unknown()
 
     init = _Section("initial", top.require("initial", dict))
@@ -277,34 +281,28 @@ def initial_thickness_field(kind: str, amplitude: float, mesh: StructuredMesh) -
 
 def _build_forcing(spec: dict, base_dir: Path, mesh: StructuredMesh, T: float):
     preset = spec["preset"]
-    if preset == "constant":
-        return forcing_mod.ConstantForcing(spec["value"])
-    if preset == "linear_t":
-        return forcing_mod.LinearForcing(spec["a0"], spec["a1"])
-    if preset == "seasonal":
-        return forcing_mod.SeasonalForcing(spec["base"], spec["amplitude"],
-                                           spec["period"])
-    if preset == "melt":
-        return forcing_mod.MeltForcing(spec["rate"])
-    if preset == "gridded":
-        path = base_dir / spec["csv"]
-        try:
-            table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-            forcing = forcing_mod.GriddedForcing(table[:, 0], table[:, 1:])
-        except OSError as err:
-            raise ValidationError("forcing.csv", f"cannot read {path}: {err}")
-        except ValueError as err:
-            raise ValidationError("forcing.csv", f"malformed {path}: {err}")
-        if forcing.values.shape[1] != mesh.n_nodes:
-            raise ValidationError("forcing.csv", f"malformed {path}: needs "
-                                  f"{mesh.n_nodes} nodal values after the time")
-        try:
-            forcing.check_cover(0.0, T)
-        except ValueError as err:
-            raise ValidationError("forcing.csv", f"{path} does not cover the "
-                                  f"run [0, {T}]: {err}")
-        return forcing
-    raise ValidationError("forcing.preset", "unsupported preset")
+    if preset != "gridded":
+        return FORCING_CLASSES[preset](
+            **{key: value for key, value in spec.items() if key != "preset"})
+    path = base_dir / spec["csv"]
+    try:
+        table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        forcing = forcing_mod.GriddedForcing(table[:, 0], table[:, 1:])
+    except OSError as err:
+        raise ValidationError("forcing.csv", f"cannot read {path}: {err}")
+    except ValueError as err:
+        raise ValidationError("forcing.csv", f"malformed {path}: {err}")
+    if not np.isfinite(table).all():
+        raise ValidationError("forcing.csv", f"malformed {path}: values must be finite")
+    if forcing.values.shape[1] != mesh.n_nodes:
+        raise ValidationError("forcing.csv", f"malformed {path}: needs "
+                              f"{mesh.n_nodes} nodal values after the time")
+    try:
+        forcing.check_cover(0.0, T)
+    except ValueError as err:
+        raise ValidationError("forcing.csv", f"{path} does not cover the "
+                              f"run [0, {T}]: {err}")
+    return forcing
 
 
 @dataclass
@@ -347,6 +345,9 @@ def build_setup(config: dict, base_dir=".") -> RunSetup:
                 "physics.mu",
                 f"needs {mesh.n_triangles} per-triangle values, got {mu.shape}",
             )
+        if not np.all(np.isfinite(mu) & (mu > 0)):
+            raise ValidationError("physics.mu",
+                                  f"malformed {path}: values must be finite and positive")
 
     forcing = _build_forcing(config["forcing"], base_dir, mesh, time_grid.T)
 
@@ -363,6 +364,9 @@ def build_setup(config: dict, base_dir=".") -> RunSetup:
             raise ValidationError("initial.csv", f"malformed {path}: {err}")
         if np.any(H0 < 0):
             raise ValidationError("initial.csv", "thickness must be nonnegative")
+        if not np.isfinite(H0).all() or np.any(H0[mesh.boundary_mask] != 0):
+            raise ValidationError("initial.csv", f"malformed {path}: thickness must "
+                                  "be finite and 0 on the boundary")
     else:
         H0 = initial_thickness_field(initial["preset"], initial["amplitude"], mesh)
 

@@ -28,6 +28,12 @@ __all__ = [
 _GAUSS2 = 0.5 / np.sqrt(3.0)
 
 
+def _gauss2_average(f, t0, t1):
+    """Two-point Gauss average of f(t) over [t0, t1]; exact through cubics."""
+    mid, half = 0.5 * (t0 + t1), (t1 - t0) * _GAUSS2
+    return 0.5 * (f(mid - half) + f(mid + half))
+
+
 def poly_bump(mesh: StructuredMesh) -> np.ndarray:
     """Smooth polynomial bump 16 x(Lx-x) y(Ly-y) / (Lx Ly)^2, peaking at 1."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -71,8 +77,7 @@ class SeasonalForcing:
         return np.sin(2.0 * np.pi * t / self.period)
 
     def slab_average(self, mesh, t0, t1):
-        mid, half = 0.5 * (t0 + t1), (t1 - t0) * _GAUSS2
-        wave = 0.5 * (self._wave(mid - half) + self._wave(mid + half))
+        wave = _gauss2_average(self._wave, t0, t1)
         return self.base + self.amplitude * wave * poly_bump(mesh)
 
 
@@ -147,6 +152,5 @@ class CallableForcing:
         return np.asarray(self.fn(t, mesh), dtype=float)
 
     def slab_average(self, mesh, t0, t1):
-        mid, half = 0.5 * (t0 + t1), (t1 - t0) * _GAUSS2
-        return 0.5 * (self.evaluate(mesh, mid - half) + self.evaluate(mesh, mid + half))
+        return _gauss2_average(lambda t: self.evaluate(mesh, t), t0, t1)
 

@@ -18,10 +18,11 @@ gradients it returns a StepPoint with the energy, the residual and the
 gradient state (g, q and the flux weight); step_energy and step_residual
 read it.  flux_state and stiffness_vector are the one home of that
 gradient state and of the stiffness action S, which the VI certificate of
-monitors reuses.  Without its stiffness term the energy is a sum of
-functions of one nodal value each, and nodal_minimizer returns its
-minimizer node by node.  The Jacobian is linearized once per Newton
-iterate from the accepted StepPoint, reusing its gradient state:
+monitors reuses; nodal_residual and nodal_slope are the one home of the
+nodal terms of the residual per unit mass and of their slope.  Without its
+stiffness term the energy is a sum of functions of one nodal value each,
+and nodal_minimizer returns its minimizer node by node.  The Jacobian is
+linearized once per Newton iterate from the accepted StepPoint, reusing its gradient state:
 linearize builds the six upper entries (mesh.PAIRS) of the symmetric 3x3
 element matrices one at a time, as a row of length ntri, and adds each
 with np.add.at into four rows of length n: the diagonal and the couplings
@@ -55,6 +56,8 @@ __all__ = [
     "evaluate",
     "flux_state",
     "stiffness_vector",
+    "nodal_residual",
+    "nodal_slope",
     "nodal_minimizer",
     "step_energy",
     "step_residual",
@@ -168,16 +171,26 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
     grad_term = (mesh.areas * params.mu / params.p) * q ** (0.5 * params.p)
     energy = float(m @ nodal + grad_term.sum())
 
-    S = stiffness_vector(mesh, g, weight)
-    phi_new = phi_power_reg(u, alpha, eps)
-    F = (
-        m * (phi_new - problem.phi_prev) / problem.ell
-        + S
-        + (m / problem.kappa) * np.minimum(u, 0.0)
-        - m * problem.a_bar
-    )
+    F = stiffness_vector(mesh, g, weight) + m * nodal_residual(problem, u)
     F[mesh.boundary_mask] = 0.0
     return StepPoint(u=u, energy=energy, residual=F, g=g, q=q, weight=weight)
+
+
+def nodal_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
+    """The nodal terms of the residual per unit mass at every node,
+    (phi_eps(u) - phi(uprev))/ell + min(u, 0)/kappa - abar."""
+    power = phi_power_reg(u, problem.params.alpha, problem.eps)
+    return ((power - problem.phi_prev) / problem.ell
+            + np.minimum(u, 0.0) / problem.kappa - problem.a_bar)
+
+
+def nodal_slope(problem: StepProblem, u: np.ndarray) -> np.ndarray:
+    """Slope phi_eps'(u)/ell + [u < 0]/kappa of nodal_residual (0 for min(u, 0)
+    at u = 0); at eps = 0 phi_eps' is evaluated at max(|u|, SINGULAR_STATE)."""
+    eps = problem.eps
+    u_slope = u if eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
+    power = dphi_power_reg(u_slope, problem.params.alpha, eps)
+    return power / problem.ell + (u < 0.0) / problem.kappa
 
 
 def flux_state(mesh: StructuredMesh, params: PhysicalParams, u: np.ndarray,
@@ -203,7 +216,7 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
 
     The time, penalty and forcing terms of the energy (see evaluate) are
     nodal and strictly convex, so their minimizer solves, at every node,
-    the scalar monotone equation
+    the scalar monotone equation nodal_residual(u) = 0, that is
 
         phi_eps(u)/ell + min(u, 0)/kappa = r,   r = phi(uprev)/ell + abar,
 
@@ -213,8 +226,8 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
     residual, and a step that leaves the bracket is replaced by its
     bisection.  With b = max(eps, (ell |r| 2^((2-alpha)/2))^(1/(alpha-1))),
     which bounds |phi_eps|^(-1)(ell |r|), the bracket is [0, b] for r >= 0
-    and [-min(kappa |r|, b), 0] for r < 0.  At eps = 0 the slope is
-    evaluated at max(|u|, SINGULAR_STATE), as in linearize.
+    and [-min(kappa |r|, b), 0] for r < 0.  The Newton slope is
+    nodal_slope, as in linearize.
     """
     alpha, eps = problem.params.alpha, problem.eps
     ell, kappa = problem.ell, problem.kappa
@@ -231,11 +244,10 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
     u = np.where(up, closed, lo)
 
     for _ in range(NODAL_MAX_ITER):
-        f = phi_power_reg(u, alpha, eps) / ell + np.minimum(u, 0.0) / kappa - r
+        f = nodal_residual(problem, u)
         lo = np.where(f <= 0.0, u, lo)
         hi = np.where(f >= 0.0, u, hi)
-        slope = _power_slope(u, alpha, eps) / ell + (u < 0.0) / kappa
-        new = u - f / slope
+        new = u - f / nodal_slope(problem, u)
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
         # a NaN input stays NaN and counts as settled
         moving = np.abs(new - u) > NODAL_RTOL * np.abs(new)
@@ -244,12 +256,6 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
             break
     u[problem.mesh.boundary_mask] = 0.0
     return u
-
-
-def _power_slope(u: np.ndarray, alpha: float, eps: float) -> np.ndarray:
-    """dphi_power_reg at u; at eps = 0 evaluated at max(|u|, SINGULAR_STATE)."""
-    u_slope = u if eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
-    return dphi_power_reg(u_slope, alpha, eps)
 
 
 def step_energy(problem: StepProblem, u: np.ndarray) -> float:
@@ -284,21 +290,16 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
     K_T = weight_T B_T B_T^T + coef_T (B_T g_T)(B_T g_T)^T, where
     weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q, with g, q and
     weight taken from the point; the upper entries of the symmetric
-    element matrices are summed into rows, and the nodal time and penalty
-    slope is added on the diagonal.  The Jacobian is exactly symmetric and
-    positive semidefinite as a bilinear form (definite for eps > 0).  The
-    generalized slope of min(u, 0) is 1/kappa where u < 0 and 0 at u = 0
-    (active-set convention).  At eps = 0 the power slope is evaluated at
-    max(|u|, SINGULAR_STATE), which changes only the Newton direction,
-    never the residual that convergence is judged on.
+    element matrices are summed into rows, and m nodal_slope, the slope of
+    the nodal time and penalty terms, is added on the diagonal.  The
+    Jacobian is exactly symmetric and positive semidefinite as a bilinear
+    form (definite for eps > 0).  The eps = 0 clamp of nodal_slope changes
+    only the Newton direction, never the residual that convergence is
+    judged on.
     """
     mesh = problem.mesh
     params = problem.params
     u, g, q, weight = point.u, point.g, point.q, point.weight
-
-    m = mesh.lumped_mass
-    slope = m * _power_slope(u, params.alpha, problem.eps) / problem.ell
-    slope = slope + (m / problem.kappa) * (u < 0.0)
 
     # (p-2) weight / q, written as the weight law at exponent p - 2
     coef = flux_weight(q, mesh.areas * params.mu * (params.p - 2.0), params.p - 2.0)
@@ -322,7 +323,7 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
 
     # boundary entries land in the discard slot 4 n, so only the slope remains
     rows = rows[:4 * n].reshape(4, n)
-    rows[0] += slope
+    rows[0] += mesh.lumped_mass * nodal_slope(problem, u)
     boundary = mesh.boundary_mask
     rows[0, boundary] = 0.0
     diag = rows[0].copy()

@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .mesh import StructuredMesh
-from .monitors import MonitorRecord
 
 __all__ = [
     "SnapshotText",
@@ -189,18 +188,14 @@ def read_field_csv(path, mesh: StructuredMesh) -> np.ndarray:
     return arr
 
 
-def write_monitors_csv(record: MonitorRecord, path, metadata: dict | None = None) -> None:
-    lines = _metadata_lines(metadata)
-    fields = record.as_dict()
-    lines.append(",".join(fields))
-    lines.append(",".join(
-        str(int(v)) if isinstance(v, bool) else _fmt(v) for v in fields.values()
-    ))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_monitors_csv(record, path, metadata: dict | None = None) -> None:
+    """Write a monitors.MonitorRecord as a table of one row."""
+    write_sweep_csv([record.as_dict()], path, metadata)
 
 
 def write_sweep_csv(table: list, path, metadata: dict | None = None) -> None:
-    """Write kappa-sweep rows (list of dicts sharing the same keys)."""
+    """Write a table, rows of dicts sharing the same keys, under a header
+    of the keys; the one CSV table writer (sweep.csv, mms.csv, monitors)."""
     lines = _metadata_lines(metadata)
     if table:
         keys = list(table[0])

@@ -15,7 +15,7 @@ import numpy as np
 from .mesh import StructuredMesh
 from .operators import DEFAULT_DELTA, DEFAULT_EPS, StepProblem
 from .physics import PhysicalParams
-from .solver import SolverConfig, SolverError, StepResult, solve_step
+from .solver import SolverConfig, SolverError, solve_step
 
 __all__ = [
     "TimeGrid",
@@ -75,7 +75,7 @@ class MarchError(RuntimeError):
     """A step solve failed; carries the step index and the partial trajectory."""
 
     def __init__(self, step_index: int, partial: Trajectory, cause: Exception):
-        super().__init__(f"step {step_index} failed: {cause}")
+        super().__init__(f"failed at step {step_index}: {cause}")
         self.step_index = step_index
         self.partial = partial
         self.cause = cause
@@ -102,31 +102,24 @@ def run(
     u^0 is params.u0.  Each step is given the previous state as its
     initial guess, and solve_step starts from it or from the nodal
     minimizer of the step, whichever has the lower energy; on a step
-    failure a MarchError carrying the partial trajectory is raised.
+    failure a MarchError carrying the trajectory so far is raised.
     """
     cfg = solver_config or SolverConfig()
-    states = [params.u0.copy()]
-    diags: list[StepResult] = []
-
+    traj = Trajectory(
+        states=[params.u0.copy()], step_diagnostics=[], time_grid=time_grid,
+        mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
+    )
     for n in range(time_grid.N):
         a_bar = average_forcing(params.forcing, n, time_grid, mesh)
         problem = StepProblem(
-            mesh=mesh, params=params, u_prev=states[-1], a_bar=a_bar,
+            mesh=mesh, params=params, u_prev=traj.states[-1], a_bar=a_bar,
             ell=time_grid.ell, kappa=kappa, delta=delta, eps=eps,
         )
         try:
-            result = solve_step(problem, cfg, initial_guess=states[-1])
+            result = solve_step(problem, cfg, initial_guess=traj.states[-1])
         except SolverError as err:
-            partial = Trajectory(
-                states=states, step_diagnostics=diags, time_grid=time_grid,
-                mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
-            )
-            raise MarchError(n, partial, err) from err
-        states.append(result.u_next)
-        diags.append(result)
-
-    return Trajectory(
-        states=states, step_diagnostics=diags, time_grid=time_grid,
-        mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
-    )
+            raise MarchError(n, traj, err) from err
+        traj.states.append(result.u_next)
+        traj.step_diagnostics.append(result)
+    return traj
 

@@ -156,6 +156,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     (tmp_path / "mu.txt").write_text("0.1\nabc\n", encoding="utf-8")
     (tmp_path / "ragged.csv").write_text("0.0,1.0,2.0\n1.0,1.0\n", encoding="utf-8")
     (tmp_path / "nodes.csv").write_text("0.0,1.0,2.0\n1.0,1.0,2.0\n", encoding="utf-8")
+    # parse, but are not usable values: a mu <= 0, a thickness that is
+    # nonzero on the boundary, a NaN forcing sample
+    (tmp_path / "mu_zero.txt").write_text("0.1\n" * 71 + "0.0\n", encoding="utf-8")
+    (tmp_path / "edge.csv").write_text("x,y,value\n" + "0.0,0.0,1.0\n" * 49,
+                                       encoding="utf-8")
+    np.savetxt(tmp_path / "nan.csv",
+               np.column_stack([[0.0, 1.0], np.full((2, 49), np.nan)]), delimiter=",")
     cases = [
         ("initial.csv", {"initial": {"csv": "short.csv"}}),
         ("initial.csv", {"initial": {"csv": "novalue.csv"}}),
@@ -163,6 +170,10 @@ def test_config_error_exit_code(tmp_path, capsys):
                                     "mu": "mu.txt"}}),
         ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "ragged.csv"}}),
         ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "nodes.csv"}}),
+        ("physics.mu", {"physics": {"p": 3.0, "rho_g": 3.0, "A_const": 1.0,
+                                    "mu": "mu_zero.txt"}}),
+        ("initial.csv", {"initial": {"csv": "edge.csv"}}),
+        ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "nan.csv"}}),
     ]
     for fieldname, override in cases:
         cfg = write_config(tmp_path / "files.json", tmp_path / "out", **override)
@@ -179,6 +190,32 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert cli(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "configuration error: forcing.csv:" in err and "does not cover" in err
+
+
+def test_unusable_output_directory_stops_before_the_solve(tmp_path, capsys, monkeypatch):
+    # an output directory below a regular file cannot be created
+    import shallowice.timestep as timestep
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was solved")
+
+    monkeypatch.setattr(timestep, "solve_step", no_step)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    outdir = tmp_path / "file" / "out"
+    cfg = write_config(tmp_path / "run.json", outdir,
+                       initial={"preset": "dome", "amplitude": 0.8})
+    for argv in (["run", str(cfg)], ["sweep", str(cfg), "--kappas", "1e-2,1e-3"],
+                 ["mms", str(cfg), "--meshes", "5,7", "--steps", "1,2"]):
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert str(outdir) in err and "Traceback" not in err
+    # a sweep row's directory is checked before the solve too
+    (tmp_path / "sweep_out").mkdir()
+    (tmp_path / "sweep_out" / "kappa_0.001").write_text("", encoding="utf-8")
+    cfg = write_config(tmp_path / "sweep.json", tmp_path / "sweep_out")
+    assert cli(["sweep", str(cfg), "--kappas", "1e-2,1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert "kappa_0.001" in err and "Traceback" not in err
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

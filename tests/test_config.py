@@ -10,7 +10,14 @@ from shallowice.config import (
     ValidationError,
     parse_config,
 )
-from shallowice.forcing import GriddedForcing, MeltForcing, SeasonalForcing, poly_bump
+from shallowice.forcing import (
+    ConstantForcing,
+    GriddedForcing,
+    LinearForcing,
+    MeltForcing,
+    SeasonalForcing,
+    poly_bump,
+)
 from shallowice.physics import u_from_thickness
 from shallowice.snapshots import write_snapshot
 
@@ -171,6 +178,23 @@ def test_seasonal_forcing_config(tmp_path):
     assert bump[peak] == 1.0
     exact = 0.1 + 0.3 * (1.0 - np.cos(2.0 * np.pi * h)) / (2.0 * np.pi * h)
     assert abs(avg[peak] - exact) <= 0.3 * h**4 * (2.0 * np.pi) ** 4 / 4320
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"preset": "constant", "value": 0.25}, ConstantForcing(0.25)),
+    ({"preset": "linear_t", "a0": 0.5, "a1": -2}, LinearForcing(0.5, -2.0)),
+    ({"preset": "seasonal", "base": 0.1, "amplitude": 0.3, "period": 2},
+     SeasonalForcing(0.1, 0.3, 2.0)),
+    ({"preset": "melt", "rate": -1.5}, MeltForcing(-1.5)),
+])
+def test_forcing_preset_round_trip(tmp_path, spec, expected):
+    # every dataclass preset parses to its fields as floats, parses back to
+    # itself, and builds the object its constructor gives
+    config = parse_config(json.dumps(minimal_config(forcing=spec)))
+    assert config["forcing"] == {key: value if key == "preset" else float(value)
+                                 for key, value in spec.items()}
+    assert parse_config(json.dumps(config)) == config
+    assert build_setup(config, tmp_path).params.forcing == expected
 
 
 def test_solver_overrides():

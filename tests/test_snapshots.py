@@ -113,6 +113,18 @@ def test_monitors_csv_zero_record(tmp_path):
     assert cells[list(record.as_dict()).index("sc1_prime_ok")] == "1"
     assert all(c in ("0.0", "1") for c in cells)
 
+    # the awkward floats and a False flag, written with their exact bytes
+    names = [name for name in record.as_dict() if name != "sc1_prime_ok"]
+    record = MonitorRecord(**dict(zip(names, AWKWARD * 2)), sc1_prime_ok=False)
+    write_monitors_csv(record, path, metadata={"config": {"b": 1, "a": "x,y"}})
+    assert path.read_bytes() == (
+        b'# {"config": {"a": "x,y", "b": 1}}\n'
+        b"est1,est2,est3,est3_1,est4,est5_1,pen_sum,sc1_value,sc1_prime_ok,"
+        b"sc2_prime_value,neg_norm\n"
+        b"-0.0,0.3333333333333333,0.30000000000000004,5e-324,1e+300,"
+        b"-0.0,0.3333333333333333,0.30000000000000004,0,5e-324,1e+300\n"
+    )
+
 
 # signed zero, repeating and inexact decimals, the smallest subnormal, a huge value
 AWKWARD = (-0.0, 1.0 / 3.0, 0.1 + 0.2, 5e-324, 1e300)
