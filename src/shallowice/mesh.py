@@ -1,23 +1,25 @@
 """Structured triangulations of rectangular domains.
 
 Nodes live on a tensor grid over [0, Lx] x [0, Ly], ordered row-major
-(y outer, x inner).  Each grid cell is split into two triangles along its
-lower-left -> upper-right diagonal, which makes piecewise-linear gradients
-constant per triangle and keeps every assembly loop exactly evaluable.
-Nodal fields are plain 1-D float arrays of length nx*ny.
+(y outer, x inner), so a nodal field, a plain 1-D float array of length
+nx*ny, reshapes to the (ny, nx) node grid.  Each grid cell is split into
+two triangles along its lower-left -> upper-right diagonal: triangle
+t = 2 c + k of cell c (row-major on the (ny-1, nx-1) cell grid) is the
+lower (ll, lr, ur) for k = 0 and the upper (ll, ur, ul) for k = 1, so a
+per-triangle array reshapes to the (ny-1, nx-1, 2) cell grid.  Gradients
+are constant per triangle, and the hat gradients are the constants
++-1/hx, +-1/hy, which keeps every assembly loop exactly evaluable.
 
-The per-triangle kernels run component-major: `vertex_cols` (3, ntri) and
-`basis_cols` (3, 2, ntri) hold the triangle vertices and hat gradients as
-contiguous rows of length ntri, derived once from `triangles` and
-`grad_basis`.  A gradient is then a gather and six multiply-adds on such
-rows, per-vertex sums are scattered by one bincount over the raveled
-rows, and the symmetric element matrices by adding the row of each upper
-entry (PAIRS) at its slots in the diagonal and three upper stencil rows.
+The kernels are slice stencils on these two grids, with no gather and no
+scatter: a gradient is four differences of shifted views of the node
+grid, and per-vertex sums are adds into the four corner slices of the
+node grid.  A StructuredMesh derives every array from (nx, ny, Lx, Ly),
+so no mesh can carry another triangle order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,16 +33,14 @@ __all__ = [
     "require_constrained",
 ]
 
-# the upper entries (a, b), a <= b, of a symmetric 3x3 element matrix
-PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
 
 @dataclass
 class StructuredMesh:
     """Immutable triangulated grid with Dirichlet mask and lumped masses.
 
-    All arrays are marked read-only after construction; the mesh can be
-    shared freely between threads.  `grad_basis[t, l]` holds the (constant)
+    Every array is derived from nx, ny, Lx and Ly, also by
+    dataclasses.replace, and marked read-only; the mesh can be shared
+    freely between threads.  `grad_basis[t, l]` holds the (constant)
     gradient of the hat function of local vertex l on triangle t.
     """
 
@@ -48,13 +48,53 @@ class StructuredMesh:
     ny: int
     Lx: float
     Ly: float
-    nodes: np.ndarray          # (n, 2) coordinates
-    triangles: np.ndarray      # (ntri, 3) vertex indices, counterclockwise
-    boundary_mask: np.ndarray  # (n,) True on the Dirichlet boundary
-    interior_mask: np.ndarray  # (n,) logical complement of boundary_mask
-    lumped_mass: np.ndarray    # (n,) nodal area weights m_i
-    areas: np.ndarray          # (ntri,) triangle areas
-    grad_basis: np.ndarray     # (ntri, 3, 2) hat-function gradients
+    nodes: np.ndarray = field(init=False)          # (n, 2) coordinates
+    triangles: np.ndarray = field(init=False)      # (ntri, 3) vertex indices, counterclockwise
+    boundary_mask: np.ndarray = field(init=False)  # (n,) True on the Dirichlet boundary
+    interior_mask: np.ndarray = field(init=False)  # (n,) logical complement of boundary_mask
+    lumped_mass: np.ndarray = field(init=False)    # (n,) nodal area weights m_i
+    areas: np.ndarray = field(init=False)          # (ntri,) triangle areas
+    grad_basis: np.ndarray = field(init=False)     # (ntri, 3, 2) hat-function gradients
+
+    def __post_init__(self):
+        nx, ny, Lx, Ly = self.nx, self.ny, self.Lx, self.Ly
+        if not (isinstance(nx, (int, np.integer)) and isinstance(ny, (int, np.integer))):
+            raise ValueError("node counts nx, ny must be integers")
+        if nx < 3 or ny < 3:
+            raise ValueError(f"need nx, ny >= 3 for an interior node, got ({nx}, {ny})")
+        if not (Lx > 0 and Ly > 0):
+            raise ValueError(f"edge lengths must be positive, got ({Lx}, {Ly})")
+        self.nx, self.ny = nx, ny = int(nx), int(ny)
+        self.Lx, self.Ly = Lx, Ly = float(Lx), float(Ly)
+
+        X, Y = np.meshgrid(np.linspace(0.0, Lx, nx), np.linspace(0.0, Ly, ny))
+        self.nodes = np.column_stack([X.ravel(), Y.ravel()])
+        # the lower (ll, lr, ur), then the upper (ll, ur, ul) triangle of each cell
+        ll = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()[:, None]
+        self.triangles = np.empty((2 * ll.size, 3), dtype=np.int64)
+        self.triangles[0::2] = ll + [0, 1, nx + 1]
+        self.triangles[1::2] = ll + [0, nx + 1, nx]
+
+        xs, ys = self.nodes[self.triangles].transpose(2, 0, 1)  # (ntri, 3) each
+        twice_area = ((xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
+                      - (ys[:, 1] - ys[:, 0]) * (xs[:, 2] - xs[:, 0]))
+        if np.any(twice_area <= 0):
+            raise RuntimeError("triangulation produced a non-positive triangle area")
+        self.areas = 0.5 * twice_area
+        # grad of hat l: ((y_j - y_k), (x_k - x_j)) / (2A), (l, j, k) cyclic
+        j, k = [1, 2, 0], [2, 0, 1]
+        self.grad_basis = (np.stack([ys[:, j] - ys[:, k], xs[:, k] - xs[:, j]], axis=2)
+                           / twice_area[:, None, None])
+        self.lumped_mass = np.bincount(
+            self.triangles.ravel(), weights=np.repeat(self.areas / 3.0, 3), minlength=nx * ny
+        )
+        inner = np.zeros((ny, nx), dtype=bool)
+        inner[1:-1, 1:-1] = True
+        self.interior_mask = inner.ravel()
+        self.boundary_mask = ~self.interior_mask
+        for arr in (self.nodes, self.triangles, self.boundary_mask, self.interior_mask,
+                    self.lumped_mass, self.areas, self.grad_basis):
+            arr.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
@@ -72,51 +112,24 @@ class StructuredMesh:
     def spacing(self) -> tuple[float, float]:
         return self.Lx / (self.nx - 1), self.Ly / (self.ny - 1)
 
-    @cached_property
-    def vertex_cols(self) -> np.ndarray:
-        """(3, ntri) read-only contiguous copy of triangles.T: row l holds
-        local vertex l of every triangle."""
-        cols = np.ascontiguousarray(self.triangles.T)
-        cols.setflags(write=False)
-        return cols
+    @property
+    def cell_shape(self) -> tuple[int, int, int]:
+        """Shape (ny-1, nx-1, 2) of a per-triangle array on the cell grid."""
+        return self.ny - 1, self.nx - 1, 2
 
     @cached_property
-    def basis_cols(self) -> np.ndarray:
-        """(3, 2, ntri) read-only contiguous copy of grad_basis.transpose(1, 2, 0):
-        row basis_cols[l, d] holds component d of the gradient of hat l on
-        every triangle."""
-        cols = np.ascontiguousarray(self.grad_basis.transpose(1, 2, 0))
-        cols.setflags(write=False)
-        return cols
-
-    @cached_property
-    def stencil_slots(self) -> np.ndarray:
-        """(6 ntri,) read-only slot k n + min(i, j) of each upper element entry, or 4 n.
-
-        Entry (a, b) = PAIRS[e] of triangle t couples nodes
-        i = vertex_cols[a, t] and j = vertex_cols[b, t], |j - i| = _stencil_offsets(nx)[k],
-        and lands at slot k n + min(i, j) of the column-major (4, n) stencil
-        rows, so summing element matrices into stencil rows is a scatter-add
-        over these slots.  Every entry touching a boundary node lands in the
-        discard slot 4 n instead.  Slots are stored in that (e, t) order.
-        """
-        n = self.n_nodes
-        i, j = self.vertex_cols[np.array(PAIRS).T]  # (6, ntri) each
-        offset = np.abs(j - i)
-        offsets = _stencil_offsets(self.nx)
-        k = np.minimum(np.searchsorted(offsets, offset), len(offsets) - 1)
-        if not np.array_equal(offsets[k], offset):
-            raise ValueError("a triangle couples nodes outside the 7-point stencil")
-        slot = k * n + np.minimum(i, j)
-        slot[self.boundary_mask[i] | self.boundary_mask[j]] = 4 * n
-        slots = slot.ravel()
-        slots.setflags(write=False)
-        return slots
-
-
-def _stencil_offsets(nx: int) -> np.ndarray:
-    """Node offsets (0, +1, +nx, +nx+1) of the upper half of the 7-point stencil."""
-    return np.array([0, 1, nx, nx + 1])
+    def interior_couplings(self) -> np.ndarray:
+        """(4, ny, nx) read-only 0/1 mask, 1 where node (iy, ix) and the node
+        at offset (0, 1, nx, nx+1)[k] from it (itself, east, north or
+        north-east) are both interior: the entries of the step Jacobian kept."""
+        inner = self.interior_mask.reshape(self.ny, self.nx)
+        keep = np.zeros((4, self.ny, self.nx))
+        keep[0] = inner
+        keep[1, :, :-1] = inner[:, :-1] & inner[:, 1:]
+        keep[2, :-1] = inner[:-1] & inner[1:]
+        keep[3, :-1, :-1] = inner[:-1, :-1] & inner[1:, 1:]
+        keep.setflags(write=False)
+        return keep
 
 
 def build_mesh(nx: int, ny: int, Lx: float, Ly: float) -> StructuredMesh:
@@ -128,99 +141,42 @@ def build_mesh(nx: int, ny: int, Lx: float, Ly: float) -> StructuredMesh:
     (ll, ur, ul).  The lumped mass of a node is one third of the total
     area of its incident triangles.
     """
-    if not (isinstance(nx, (int, np.integer)) and isinstance(ny, (int, np.integer))):
-        raise ValueError("node counts nx, ny must be integers")
-    if nx < 3 or ny < 3:
-        raise ValueError(f"need nx, ny >= 3 for an interior node, got ({nx}, {ny})")
-    if not (Lx > 0 and Ly > 0):
-        raise ValueError(f"edge lengths must be positive, got ({Lx}, {Ly})")
-
-    nx, ny = int(nx), int(ny)
-    Lx, Ly = float(Lx), float(Ly)
-    x = np.linspace(0.0, Lx, nx)
-    y = np.linspace(0.0, Ly, ny)
-    X, Y = np.meshgrid(x, y)
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    ix, iy = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1))
-    ll = (iy * nx + ix).ravel()
-    lr = ll + 1
-    ul = ll + nx
-    ur = ul + 1
-    ncell = ll.size
-    triangles = np.empty((2 * ncell, 3), dtype=np.int64)
-    triangles[0::2] = np.column_stack([ll, lr, ur])
-    triangles[1::2] = np.column_stack([ll, ur, ul])
-
-    p0 = nodes[triangles[:, 0]]
-    p1 = nodes[triangles[:, 1]]
-    p2 = nodes[triangles[:, 2]]
-    e1 = p1 - p0
-    e2 = p2 - p0
-    twice_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(twice_area <= 0):
-        raise RuntimeError("triangulation produced a non-positive triangle area")
-    areas = 0.5 * twice_area
-
-    # grad of hat l: ((y_j - y_k), (x_k - x_j)) / (2A), (l, j, k) cyclic
-    grad_basis = np.empty((triangles.shape[0], 3, 2))
-    xs = np.stack([p0[:, 0], p1[:, 0], p2[:, 0]], axis=1)
-    ys = np.stack([p0[:, 1], p1[:, 1], p2[:, 1]], axis=1)
-    for l in range(3):
-        j, k = (l + 1) % 3, (l + 2) % 3
-        grad_basis[:, l, 0] = (ys[:, j] - ys[:, k]) / twice_area
-        grad_basis[:, l, 1] = (xs[:, k] - xs[:, j]) / twice_area
-
-    lumped_mass = np.bincount(
-        triangles.ravel(), weights=np.repeat(areas / 3.0, 3), minlength=nx * ny
-    )
-
-    col = np.tile(np.arange(nx), ny)
-    row = np.repeat(np.arange(ny), nx)
-    boundary_mask = (col == 0) | (col == nx - 1) | (row == 0) | (row == ny - 1)
-
-    mesh = StructuredMesh(
-        nx=nx,
-        ny=ny,
-        Lx=Lx,
-        Ly=Ly,
-        nodes=nodes,
-        triangles=triangles,
-        boundary_mask=boundary_mask,
-        interior_mask=~boundary_mask,
-        lumped_mass=lumped_mass,
-        areas=areas,
-        grad_basis=grad_basis,
-    )
-    for arr in (mesh.nodes, mesh.triangles, mesh.boundary_mask, mesh.interior_mask,
-                mesh.lumped_mass, mesh.areas, mesh.grad_basis):
-        arr.setflags(write=False)
-    return mesh
+    return StructuredMesh(nx, ny, Lx, Ly)
 
 
 def triangle_gradients(mesh: StructuredMesh, f: np.ndarray) -> np.ndarray:
     """Gradient of the piecewise-linear interpolant of f, one 2-vector per triangle.
 
-    Returns an (ntri, 2) view of the component-major (2, ntri) result.
+    The lower triangle of a cell takes its x-difference along the bottom
+    edge and its y-difference along the right edge, the upper triangle
+    along the top and left edges.  Returns an (ntri, 2) view of the
+    component-major (2, ntri) result.
     """
-    fv = f[mesh.vertex_cols]
-    basis = mesh.basis_cols
-    g = fv[0] * basis[0]
-    g += fv[1] * basis[1]
-    g += fv[2] * basis[2]
-    return g.T
+    hx, hy = mesh.spacing
+    f = f.reshape(mesh.ny, mesh.nx)
+    g = np.empty((2,) + mesh.cell_shape)
+    np.subtract(f[:-1, 1:], f[:-1, :-1], out=g[0, ..., 0])
+    np.subtract(f[1:, 1:], f[:-1, 1:], out=g[1, ..., 0])
+    np.subtract(f[1:, 1:], f[1:, :-1], out=g[0, ..., 1])
+    np.subtract(f[1:, :-1], f[:-1, :-1], out=g[1, ..., 1])
+    g[0] *= 1.0 / hx
+    g[1] *= 1.0 / hy
+    return g.reshape(2, -1).T
 
 
 def scatter_vertex_sums(mesh: StructuredMesh, per_vertex: np.ndarray) -> np.ndarray:
     """Accumulate (3, ntri) per-vertex contributions into nodal sums.
 
-    per_vertex[l, t] is added to node vertex_cols[l, t].  The reduction is
-    a commutative sum; any triangle ordering yields the same result up to
-    floating-point reassociation.
+    per_vertex[l, t] is added to node triangles[t, l]: each local vertex of
+    the lower and of the upper triangles is one corner slice of the node grid.
     """
-    return np.bincount(
-        mesh.vertex_cols.ravel(), weights=per_vertex.ravel(), minlength=mesh.n_nodes
-    )
+    v = per_vertex.reshape((3,) + mesh.cell_shape)
+    out = np.zeros((mesh.ny, mesh.nx))
+    np.add(v[0, ..., 0], v[0, ..., 1], out=out[:-1, :-1])  # ll of both
+    out[:-1, 1:] += v[1, ..., 0]                            # lr of the lower
+    out[1:, 1:] += v[2, ..., 0] + v[1, ..., 1]              # ur of both
+    out[1:, :-1] += v[2, ..., 1]                            # ul of the upper
+    return out.reshape(-1)
 
 
 def require_nodal(mesh: StructuredMesh, v: np.ndarray, name: str = "field") -> np.ndarray:

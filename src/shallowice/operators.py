@@ -22,14 +22,16 @@ monitors reuses; nodal_residual and nodal_slope are the one home of the
 nodal terms of the residual per unit mass and of their slope.  Without its
 stiffness term the energy is a sum of functions of one nodal value each,
 and nodal_minimizer returns its minimizer node by node.  The Jacobian is
-linearized once per Newton iterate from the accepted StepPoint, reusing its gradient state:
-linearize builds the six upper entries (mesh.PAIRS) of the symmetric 3x3
-element matrices one at a time, as a row of length ntri, and adds each
-with np.add.at into four rows of length n: the diagonal and the couplings
-at offsets +1, +nx and +nx+1 of the 7-point stencil (symmetric diagonal
-storage), with every Dirichlet entry dropped at assembly.  Each coupling
-is stored once for both its nodes, so the Jacobian is exactly symmetric.
-step_jacobian_action applies each off-diagonal row by two shifted slices.
+linearized once per Newton iterate from the accepted StepPoint, reusing its
+gradient state.  Every triangle is a right triangle with legs along x and
+y, so its element matrix is fixed by three couplings, along the legs and
+the cell diagonal; linearize adds them by slices of the node grid into
+four rows of length n: the couplings at offsets +1, +nx and +nx+1 of the
+7-point stencil, and the diagonal, minus the sum of its row's couplings
+(symmetric diagonal storage).  One cached mask of the mesh drops every
+Dirichlet entry.  Each coupling is stored once for both its nodes, so the
+Jacobian is exactly symmetric.  step_jacobian_action applies each
+off-diagonal row by two shifted slices.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import (
-    PAIRS,
     StructuredMesh,
-    _stencil_offsets,
     require_constrained,
     require_nodal,
     scatter_vertex_sums,
@@ -168,8 +168,8 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
         + np.minimum(u, 0.0) ** 2 / (2.0 * problem.kappa)
         - problem.a_bar * u
     )
-    grad_term = (mesh.areas * params.mu / params.p) * q ** (0.5 * params.p)
-    energy = float(m @ nodal + grad_term.sum())
+    # |T| mu q^(p/2) / p, through the flux weight |T| mu q^((p-2)/2)
+    energy = float(m @ nodal + weight @ q / params.p)
 
     F = stiffness_vector(mesh, g, weight) + m * nodal_residual(problem, u)
     F[mesh.boundary_mask] = 0.0
@@ -205,10 +205,23 @@ def flux_state(mesh: StructuredMesh, params: PhysicalParams, u: np.ndarray,
 
 def stiffness_vector(mesh: StructuredMesh, g: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Stiffness action S_i = sum_T weight_T g_T . grad hat_i at every node,
-    boundary nodes included."""
-    gx, gy = g.T
-    basis = mesh.basis_cols
-    return scatter_vertex_sums(mesh, basis[:, 0] * (weight * gx) + basis[:, 1] * (weight * gy))
+    boundary nodes included.
+
+    With fx = weight gx / hx and fy = weight gy / hy, the hat gradients give
+    the lower triangle (ll, lr, ur) the vertex terms (-fx, fx - fy, fy) and
+    the upper (ll, ur, ul) the terms (-fy, fx, fy - fx).
+    """
+    hx, hy = mesh.spacing
+    fx, fy = (g.T * weight * np.array([[1.0 / hx], [1.0 / hy]])).reshape((2,) + mesh.cell_shape)
+    per_vertex = np.empty((3,) + mesh.cell_shape)
+    lower, upper = per_vertex[..., 0], per_vertex[..., 1]
+    np.negative(fx[..., 0], out=lower[0])
+    np.subtract(fx[..., 0], fy[..., 0], out=lower[1])
+    lower[2] = fy[..., 0]
+    np.negative(fy[..., 1], out=upper[0])
+    upper[1] = fx[..., 1]
+    np.subtract(fy[..., 1], fx[..., 1], out=upper[2])
+    return scatter_vertex_sums(mesh, per_vertex.reshape(3, -1))
 
 
 def nodal_minimizer(problem: StepProblem) -> np.ndarray:
@@ -273,7 +286,7 @@ class StepJacobian:
     """Step Jacobian at one state, assembled once for repeated application.
 
     rows   (4, n) stencil rows, rows[k, i] = J[i, i + o] = J[i + o, i] with
-           o = _stencil_offsets(nx)[k] (symmetric diagonal layout); every
+           o = (0, 1, nx, nx + 1)[k] (symmetric diagonal layout); every
            entry touching a boundary node is 0
     diag   Jacobi diagonal, rows[0] with 1 on boundary rows
     """
@@ -289,45 +302,59 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
     On triangle T with hat gradients B_T (rows) and state gradient g_T,
     K_T = weight_T B_T B_T^T + coef_T (B_T g_T)(B_T g_T)^T, where
     weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q, with g, q and
-    weight taken from the point; the upper entries of the symmetric
-    element matrices are summed into rows, and m nodal_slope, the slope of
-    the nodal time and penalty terms, is added on the diagonal.  The
-    Jacobian is exactly symmetric and positive semidefinite as a bilinear
-    form (definite for eps > 0).  The eps = 0 clamp of nodal_slope changes
-    only the Newton direction, never the residual that convergence is
-    judged on.
+    weight taken from the point.  With s = gx/hx, t = gy/hy and d = s - t,
+    the hat gradients +-1/hx, +-1/hy make the off-diagonal entries of K_T,
+    on both triangles of a cell,
+
+        x-leg     -(weight/hx^2 + coef s d)   lower: ll-lr, upper: ul-ur
+        y-leg     -(weight/hy^2 - coef t d)   lower: lr-ur, upper: ll-ul
+        diagonal  -coef s t                   ll-ur,
+
+    and every row of K_T sums to 0, as the hat functions sum to one.  The
+    couplings are summed into rows by slices of the node grid, the
+    diagonal is minus the sum of its row's couplings plus m nodal_slope,
+    the slope of the nodal time and penalty terms, and the mask
+    mesh.interior_couplings drops the Dirichlet entries.  The Jacobian is
+    exactly symmetric and positive semidefinite as a bilinear form
+    (definite for eps > 0).  The eps = 0 clamp of nodal_slope changes only
+    the Newton direction, never the residual that convergence is judged on.
     """
     mesh = problem.mesh
     params = problem.params
     u, g, q, weight = point.u, point.g, point.q, point.weight
+    hx, hy = mesh.spacing
+    nx, n = mesh.nx, mesh.n_nodes
 
-    # (p-2) weight / q, written as the weight law at exponent p - 2
-    coef = flux_weight(q, mesh.areas * params.mu * (params.p - 2.0), params.p - 2.0)
+    # (p-2) weight / q; 0 where q = 0, since g and so the rank-one term are 0 there
+    coef = (params.p - 2.0) * np.divide(weight, q, out=np.zeros_like(q), where=q > 0.0)
 
-    # entry PAIRS[e] of every element matrix, one row of length ntri at a
-    # time, added in the (e, t) slot order: the sums of one bincount over
-    # all entries.  The whole (6, ntri) array with its temporaries outgrows
-    # glibc's heap trim threshold at 65^2, and freeing it could then trim
-    # and regrow the heap on every call
-    basis = mesh.basis_cols
-    gx, gy = g.T
-    gb = basis[:, 0] * gx + basis[:, 1] * gy
-    n = mesh.n_nodes
-    slots = mesh.stencil_slots.reshape(len(PAIRS), mesh.n_triangles)
-    rows = np.zeros(4 * n + 1)
-    for (a, b), pair_slots in zip(PAIRS, slots):
-        entry = basis[b, 0] * (weight * basis[a, 0])
-        entry += basis[b, 1] * (weight * basis[a, 1])
-        entry += (coef * gb[a]) * gb[b]
-        np.add.at(rows, pair_slots, entry)
+    # the negated couplings of every triangle, on the cell grid
+    s, t = g.T * np.array([[1.0 / hx], [1.0 / hy]])
+    cs, ct, d = coef * s, coef * t, s - t
+    x_leg = (weight * (1.0 / hx**2) + cs * d).reshape(mesh.cell_shape)
+    y_leg = (weight * (1.0 / hy**2) - ct * d).reshape(mesh.cell_shape)
+    diagonal = (cs * t).reshape(mesh.cell_shape)
 
-    # boundary entries land in the discard slot 4 n, so only the slope remains
-    rows = rows[:4 * n].reshape(4, n)
+    # rows 1..3 gather the negated east, north and north-east couplings of
+    # each node; row 0 their sum over the 6 neighbours, the diagonal
+    rows = np.zeros((4, mesh.ny, nx))
+    east, north, north_east = rows[1], rows[2], rows[3]
+    east[:-1, :-1] = x_leg[..., 0]
+    east[1:, :-1] += x_leg[..., 1]
+    north[:-1, 1:] = y_leg[..., 0]
+    north[:-1, :-1] += y_leg[..., 1]
+    np.add(diagonal[..., 0], diagonal[..., 1], out=north_east[:-1, :-1])
+    rows = rows.reshape(4, n)
+    np.add(rows[1], rows[2], out=rows[0])
+    rows[0] += rows[3]
+    rows[0, 1:] += rows[1, :-1]
+    rows[0, nx:] += rows[2, :-nx]
+    rows[0, nx + 1:] += rows[3, :-nx - 1]
+    rows[1:] *= -1.0
+
     rows[0] += mesh.lumped_mass * nodal_slope(problem, u)
-    boundary = mesh.boundary_mask
-    rows[0, boundary] = 0.0
-    diag = rows[0].copy()
-    diag[boundary] = 1.0
+    rows *= mesh.interior_couplings.reshape(4, n)
+    diag = np.where(mesh.boundary_mask, 1.0, rows[0])
     return StepJacobian(mesh=mesh, rows=rows, diag=diag)
 
 
@@ -342,7 +369,7 @@ def step_jacobian_action(jac: StepJacobian, w: np.ndarray) -> np.ndarray:
     mesh = jac.mesh
     w = require_nodal(mesh, w, "w")
     out = jac.rows[0] * w
-    for k, offset in enumerate(_stencil_offsets(mesh.nx)[1:], start=1):
+    for k, offset in enumerate((1, mesh.nx, mesh.nx + 1), start=1):
         r = jac.rows[k, :-offset]
         out[:-offset] += r * w[offset:]
         out[offset:] += r * w[:-offset]

@@ -44,6 +44,10 @@ __all__ = [
     "read_run_metadata",
 ]
 
+# read_field_csv tolerance on x, y relative to Lx, Ly: seven significant
+# digits pass, a node of another grid is a cell width away
+NODE_RTOL = 1e-6
+
 
 def _fmt(v) -> str:
     return repr(float(v))
@@ -171,8 +175,13 @@ def write_snapshot(field, mesh: StructuredMesh, path, fmt: str,
 
 
 def read_field_csv(path, mesh: StructuredMesh) -> np.ndarray:
-    """Read a nodal field written by write_snapshot(..., 'csv')."""
-    values = []
+    """Read a nodal field written by write_snapshot(..., 'csv').
+
+    Row i must hold node i of this mesh: its x and y columns may differ
+    from the node coordinates by at most NODE_RTOL times Lx and Ly, so a
+    field of another grid with the same node count is rejected.
+    """
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -181,11 +190,16 @@ def read_field_csv(path, mesh: StructuredMesh) -> np.ndarray:
             cells = line.split(",")
             if len(cells) < 3:
                 raise ValueError(f"line {number} has no value column")
-            values.append(float(cells[2]))
-    arr = np.array(values)
-    if arr.shape != (mesh.n_nodes,):
-        raise ValueError(f"expected {mesh.n_nodes} data rows, found {arr.size}")
-    return arr
+            rows.append([float(cell) for cell in cells[:3]])
+    table = np.array(rows).reshape(-1, 3)
+    if table.shape[0] != mesh.n_nodes:
+        raise ValueError(f"expected {mesh.n_nodes} data rows, found {table.shape[0]}")
+    within = np.abs(table[:, :2] - mesh.nodes) <= NODE_RTOL * np.array([mesh.Lx, mesh.Ly])
+    if not within.all():
+        i = int(np.argmin(within.all(axis=1)))
+        raise ValueError(f"data row {i + 1} lies at {tuple(table[i, :2].tolist())}, not at "
+                         f"node {tuple(mesh.nodes[i].tolist())} of this {mesh.nx}x{mesh.ny} grid")
+    return table[:, 2].copy()
 
 
 def write_monitors_csv(record, path, metadata: dict | None = None) -> None:

@@ -10,7 +10,7 @@ accumulation; the nodal minimizer wins where the nodal terms do, as where
 melt or a stiff penalty moves the state far within one step.  Each
 Newton iterate takes one path.  The residual is linearized once and
 assembled into the symmetric (4, n) stencil rows, with the Dirichlet
-entries dropped at assembly.  A Jacobi-preconditioned truncated
+entries masked out.  A Jacobi-preconditioned truncated
 conjugate-gradient solve, applying the rows by shifted slices, gives a
 descent direction, and one backtracking line search on the step energy
 accepts the trial point by an Armijo decrease or, once the energy
@@ -114,20 +114,22 @@ def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
 
     The operator enters only through action(w), its product with w.
 
-    Returns w with ||A w - rhs|| <= cg_tol ||rhs|| when it converges within
-    cg_max iterations, else the last iterate (inexact directions are still
-    useful to the outer Newton loop).  On nonpositive curvature it stops and
-    returns the current iterate, or the preconditioned residual rhs / diag if
-    that happens at the first iteration (Steihaug; Dembo & Steihaug).  In
-    exact arithmetic every nonzero return satisfies rhs . w > 0, i.e. it is
-    a descent direction of any energy whose gradient is -rhs.
+    Returns w once r = rhs - A w has r . r <= (cg_tol ||rhs||)^2, else the
+    last of cg_max iterates (inexact directions are still useful to the
+    outer Newton loop).  On nonpositive curvature it stops and returns the
+    current iterate, or the preconditioned residual rhs / diag if that
+    happens at the first iteration (Steihaug; Dembo & Steihaug).  In exact
+    arithmetic every nonzero return satisfies rhs . w > 0, i.e. it is a
+    descent direction of any energy whose gradient is -rhs.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return x
-    z = r / diag
+    stop = (cg_tol * rhs_norm) ** 2
+    inv_diag = 1.0 / diag
+    z = r * inv_diag
     pvec = z.copy()
     rz = float(r @ z)
     for k in range(cg_max):
@@ -140,11 +142,12 @@ def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
         step = rz / pq
         x += step * pvec
         r -= step * q
-        if np.linalg.norm(r) <= cg_tol * rhs_norm:
+        if float(r @ r) <= stop:
             break
-        z = r / diag
+        np.multiply(r, inv_diag, out=z)
         rz_new = float(r @ z)
-        pvec = z + (rz_new / rz) * pvec
+        pvec *= rz_new / rz
+        pvec += z
         rz = rz_new
     return x
 

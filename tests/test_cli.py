@@ -4,7 +4,7 @@ import re
 import warnings
 
 import numpy as np
-from shallowice import __version__
+from shallowice import __version__, build_mesh, write_snapshot
 from shallowice.cli import cli
 from shallowice.config import load_config, parse_config
 from shallowice.physics import PhysicalRangeWarning
@@ -159,8 +159,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     # parse, but are not usable values: a mu <= 0, a thickness that is
     # nonzero on the boundary, a NaN forcing sample
     (tmp_path / "mu_zero.txt").write_text("0.1\n" * 71 + "0.0\n", encoding="utf-8")
-    (tmp_path / "edge.csv").write_text("x,y,value\n" + "0.0,0.0,1.0\n" * 49,
-                                       encoding="utf-8")
+    write_snapshot(np.ones(49), build_mesh(7, 7, 1.0, 1.0), tmp_path / "edge.csv", "csv")
+    # and a valid thickness of another 7x7 grid, whose rows name other nodes
+    elsewhere = build_mesh(7, 7, 1.0, 2.0)
+    write_snapshot(np.where(elsewhere.boundary_mask, 0.0, 1.0), elsewhere,
+                   tmp_path / "elsewhere.csv", "csv")
     np.savetxt(tmp_path / "nan.csv",
                np.column_stack([[0.0, 1.0], np.full((2, 49), np.nan)]), delimiter=",")
     cases = [
@@ -173,6 +176,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("physics.mu", {"physics": {"p": 3.0, "rho_g": 3.0, "A_const": 1.0,
                                     "mu": "mu_zero.txt"}}),
         ("initial.csv", {"initial": {"csv": "edge.csv"}}),
+        ("initial.csv", {"initial": {"csv": "elsewhere.csv"}}),
         ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "nan.csv"}}),
     ]
     for fieldname, override in cases:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shallowice import build_mesh
-from shallowice.mesh import PAIRS, _stencil_offsets, triangle_gradients
+from shallowice.mesh import triangle_gradients
 
 
 def shoelace_area(pts):
@@ -110,32 +110,36 @@ def test_mesh_arrays_read_only(mesh3):
         mesh3.lumped_mass[0] = 7.0
 
 
-def test_stencil_slots_address_element_entries():
-    # an element entry (a, b) = PAIRS[e] of triangle t couples the nodes
-    # i = triangles[t, a] and j = triangles[t, b]; between two interior
-    # nodes it must land at slot k n + min(i, j) with |j - i| = offsets[k];
-    # every entry touching a boundary node lands in the discard slot 4 n
-    assert sorted(PAIRS) == [(a, b) for a in range(3) for b in range(a, 3)]
-    for nx, ny in [(3, 3), (6, 4), (4, 7)]:
-        mesh = build_mesh(nx, ny, 1.0, 1.0)
-        n = mesh.n_nodes
-        slots = mesh.stencil_slots.reshape(len(PAIRS), mesh.n_triangles)
-        a, b = np.array(PAIRS).T
-        i, j = mesh.triangles.T[a], mesh.triangles.T[b]
-        touches = mesh.boundary_mask[i] | mesh.boundary_mask[j]
-        assert np.all(slots[touches] == 4 * n)
-        k, lo = np.divmod(slots[~touches], n)
-        assert np.array_equal(lo, np.minimum(i, j)[~touches])
-        assert np.array_equal(_stencil_offsets(nx)[k], np.abs(j - i)[~touches])
-        with pytest.raises(ValueError):
-            mesh.stencil_slots[0] = 1
-
-
-def test_stencil_slots_reject_other_diagonal(mesh5):
-    # splitting a cell along its other diagonal couples lr and ul, offset nx - 1
+def test_triangle_order_is_derived_from_the_grid(mesh5):
+    # the slice kernels read the cell order from nx and ny, so a mesh
+    # cannot be given other triangles, nor other arrays derived from them
     tri = mesh5.triangles.copy()
     tri[0] = [0, 1, mesh5.nx]
     tri[1] = [1, mesh5.nx + 1, mesh5.nx]
-    bad = dataclasses.replace(mesh5, triangles=tri)
-    with pytest.raises(ValueError, match="7-point stencil"):
-        bad.stencil_slots
+    for name, value in [("triangles", tri), ("triangles", mesh5.triangles[::-1]),
+                        ("areas", mesh5.areas[::-1]), ("nodes", mesh5.nodes[::-1])]:
+        with pytest.raises(ValueError):
+            dataclasses.replace(mesh5, **{name: value})
+    # replacing a grid value derives every array again
+    wide = dataclasses.replace(mesh5, Lx=2.0)
+    assert np.array_equal(wide.nodes, build_mesh(5, 5, 2.0, 1.0).nodes)
+    assert np.array_equal(wide.triangles, mesh5.triangles)
+    with pytest.raises(ValueError):
+        dataclasses.replace(mesh5, nx=2)
+
+
+def test_interior_couplings_mask():
+    # entry [k, i] is 1 exactly where node i and node i + (0, 1, nx, nx+1)[k]
+    # are both interior nodes of one stencil (no wrap across a row end)
+    for nx, ny in [(3, 3), (6, 4), (4, 7)]:
+        mesh = build_mesh(nx, ny, 1.0, 1.0)
+        keep = mesh.interior_couplings
+        assert keep.shape == (4, ny, nx)
+        iy, ix = np.divmod(np.arange(mesh.n_nodes), nx)
+        for k, (dy, dx) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            jy, jx = iy + dy, ix + dx
+            both = ((iy > 0) & (iy < ny - 1) & (ix > 0) & (ix < nx - 1)
+                    & (jy < ny - 1) & (jx < nx - 1))
+            assert np.array_equal(keep[k].ravel(), both.astype(float)), (nx, ny, k)
+        with pytest.raises(ValueError):
+            keep[0, 1, 1] = 0.0

@@ -19,6 +19,7 @@ from shallowice.operators import (
     linearize,
     nodal_minimizer,
     step_jacobian_action,
+    stiffness_vector,
 )
 from shallowice.physics import dphi_power_reg, phi_power_reg, signed_power
 from shallowice.verification import brute_force_step_oracle
@@ -54,14 +55,9 @@ def einsum_scatter(mesh, per_vertex):
                        minlength=mesh.n_nodes)
 
 
-def element_jacobian_action(prob, u, w):
-    """Element-by-element Jacobian action: gather, 3x3 contraction per
-    triangle, scatter, plus the nodal time and penalty slope."""
+def element_matrices(prob, u):
+    """(ntri, 3, 3) element matrices of the gradient part of the Jacobian."""
     mesh, params = prob.mesh, prob.params
-    m = mesh.lumped_mass
-    u_slope = u if prob.eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
-    slope = m * dphi_power_reg(u_slope, params.alpha, prob.eps) / prob.ell
-    slope = slope + (m / prob.kappa) * (u < 0.0)
     g = einsum_gradients(mesh, u)
     q = np.einsum("td,td->t", g, g) + prob.delta**2
     weight = mesh.areas * params.mu * q ** ((params.p - 2.0) / 2.0)
@@ -69,10 +65,51 @@ def element_jacobian_action(prob, u, w):
     gb = np.einsum("td,tld->tl", g, mesh.grad_basis)
     K = weight[:, None, None] * np.einsum("tid,tjd->tij", mesh.grad_basis, mesh.grad_basis)
     K += coef[:, None, None] * gb[:, :, None] * gb[:, None, :]
+    return K
+
+
+def nodal_jacobian_slope(prob, u):
+    """m (phi_eps'(u)/ell + [u < 0]/kappa), clamped at eps = 0."""
+    m = prob.mesh.lumped_mass
+    u_slope = u if prob.eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
+    slope = m * dphi_power_reg(u_slope, prob.params.alpha, prob.eps) / prob.ell
+    return slope + (m / prob.kappa) * (u < 0.0)
+
+
+def element_jacobian_action(prob, u, w):
+    """Element-by-element Jacobian action: gather, 3x3 contraction per
+    triangle, scatter, plus the nodal time and penalty slope."""
+    mesh = prob.mesh
+    K = element_matrices(prob, u)
     w = zero_boundary(mesh, w)
-    out = slope * w + einsum_scatter(mesh, np.einsum("tij,tj->ti", K, w[mesh.triangles]))
+    out = nodal_jacobian_slope(prob, u) * w
+    out += einsum_scatter(mesh, np.einsum("tij,tj->ti", K, w[mesh.triangles]))
     out[mesh.boundary_mask] = 0.0
     return out
+
+
+def element_stencil_rows(prob, u):
+    """The (4, n) stencil rows J[i, i + o], o = 0, 1, nx, nx + 1, summed
+    entry by entry from the element matrices, with every entry that touches
+    a boundary node dropped."""
+    mesh = prob.mesh
+    n, nx = mesh.n_nodes, mesh.nx
+    offsets = np.array([0, 1, nx, nx + 1])
+    K = element_matrices(prob, u)
+    rows = np.zeros((4, n))
+    for a in range(3):
+        for b in range(a, 3):
+            i, j = mesh.triangles[:, a], mesh.triangles[:, b]
+            k = np.searchsorted(offsets, np.abs(j - i))
+            assert np.array_equal(offsets[k], np.abs(j - i))
+            np.add.at(rows, (k, np.minimum(i, j)), K[:, a, b])
+    rows[0] += nodal_jacobian_slope(prob, u)
+    for k, o in enumerate(offsets):
+        touches = mesh.boundary_mask.copy()
+        touches[:n - o] |= mesh.boundary_mask[o:]
+        touches[n - o:] = True
+        rows[k, touches] = 0.0
+    return rows
 
 
 def test_stiffness_center_value_p2(mesh3):
@@ -287,43 +324,66 @@ def test_jacobian_matches_element_reference():
             assert np.max(np.abs(Jw - ref)) <= 1e-13 * np.max(np.abs(ref)), (nx, ny, p)
 
 
-def test_kernels_match_einsum_reference(mesh5):
-    # the component-major kernels against the (ntri, 3, 2) einsum forms, on
-    # a mesh with permuted triangles and on a non-square one
+def permuted_mesh(mesh, rng):
+    perm = rng.permutation(mesh.n_triangles)
+    return dataclasses.replace(mesh, triangles=mesh.triangles[perm],
+                               areas=mesh.areas[perm], grad_basis=mesh.grad_basis[perm])
+
+
+def test_kernels_match_einsum_reference():
+    # the slice kernels against the (ntri, 3, 2) einsum and element forms:
+    # on 3x3, where every coupling is a Dirichlet entry, on a non-square
+    # mesh with hx != hy, and at 65^2
     rng = np.random.default_rng(22)
-    perm = rng.permutation(mesh5.n_triangles)
-    permuted = dataclasses.replace(mesh5, triangles=mesh5.triangles[perm],
-                                   areas=mesh5.areas[perm],
-                                   grad_basis=mesh5.grad_basis[perm])
-    for mesh in (permuted, build_mesh(10, 14, 2.0, 1.5)):
+    with pytest.raises(ValueError):
+        permuted_mesh(build_mesh(5, 5, 1.0, 1.0), rng)
+
+    def close(a, ref):
+        return np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    for mesh in (build_mesh(3, 3, 1.0, 1.0), build_mesh(10, 14, 2.0, 1.5),
+                 build_mesh(65, 65, 1.0, 1.0)):
         f = rng.uniform(-2.0, 2.0, mesh.n_nodes)
         ref = einsum_gradients(mesh, f)
         g = triangle_gradients(mesh, f)
         assert g.shape == (mesh.n_triangles, 2)
-        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert close(g, ref), mesh.nx
 
         per_vertex = rng.uniform(-1.0, 1.0, (mesh.n_triangles, 3))
-        ref = einsum_scatter(mesh, per_vertex)
-        sums = scatter_vertex_sums(mesh, per_vertex.T)
-        assert np.max(np.abs(sums - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert close(scatter_vertex_sums(mesh, per_vertex.T),
+                     einsum_scatter(mesh, per_vertex)), mesh.nx
 
         for p in JACOBIAN_PS:
             prob = make_problem(mesh, p=p, seed=13)
             u = random_state(mesh, rng)
             w = random_state(mesh, rng)
-            Jw = step_jacobian_action(linearize(prob, evaluate(prob, u)), w)
-            ref = element_jacobian_action(prob, u, w)
-            assert np.max(np.abs(Jw - ref)) <= 1e-13 * np.max(np.abs(ref)), (mesh.nx, p)
+            point = evaluate(prob, u)
+            g = einsum_gradients(mesh, u)
+            weight = mesh.areas * prob.params.mu * (
+                np.einsum("td,td->t", g, g) + prob.delta**2) ** ((p - 2.0) / 2.0)
+            ref = einsum_scatter(mesh, np.einsum("td,tld->tl", weight[:, None] * g,
+                                                 mesh.grad_basis))
+            assert close(stiffness_vector(mesh, point.g, point.weight), ref), (mesh.nx, p)
+
+            jac = linearize(prob, point)
+            ref = element_stencil_rows(prob, u)
+            assert close(jac.rows, ref), (mesh.nx, p)
+            assert np.array_equal(jac.diag, np.where(mesh.boundary_mask, 1.0, jac.rows[0]))
+            if mesh.n_interior == 1:
+                assert not np.any(jac.rows[1:])
+
+            Jw = step_jacobian_action(jac, w)
+            assert close(Jw, element_jacobian_action(prob, u, w)), (mesh.nx, p)
 
 
 def test_linearize_never_holds_all_element_entries():
-    # linearize adds the element matrices to the stencil rows one entry row
-    # at a time; holding all (3, 3, ntri) entries at once, with their
+    # linearize holds three couplings per triangle, not the element
+    # matrices; holding all (3, 3, ntri) entries at once, with their
     # temporaries, took 2.8 times their bytes beyond the returned rows
     mesh = build_mesh(33, 33, 1.0, 1.0)
     prob = make_problem(mesh, seed=14)
     point = evaluate(prob, random_state(mesh, np.random.default_rng(23)))
-    linearize(prob, point)  # builds the cached stencil slots
+    linearize(prob, point)  # builds the cached coupling mask
     tracemalloc.start()
     try:
         jac = linearize(prob, point)
@@ -385,34 +445,31 @@ def test_penalty_contribution_localized(mesh5):
 
 
 def test_assembly_order_invariance(mesh5):
-    import dataclasses as dc
-
+    # the half-turn of the grid maps the triangulation onto itself with the
+    # node order and the triangle order reversed, so the reversed problem
+    # sums every term in another order; the triangles of a mesh can be
+    # permuted no other way
     rng = np.random.default_rng(19)
-    prob = make_problem(mesh5, seed=10)
-    perm = rng.permutation(mesh5.n_triangles)
-    shuffled = dc.replace(
-        mesh5,
-        triangles=mesh5.triangles[perm],
-        areas=mesh5.areas[perm],
-        grad_basis=mesh5.grad_basis[perm],
-    )
-    params2 = dc.replace(prob.params, mu=prob.params.mu[perm])
-    prob2 = StepProblem(mesh=shuffled, params=params2, u_prev=prob.u_prev,
-                        a_bar=prob.a_bar, ell=prob.ell, kappa=prob.kappa,
-                        delta=prob.delta, eps=prob.eps)
-    u = random_state(mesh5, rng)
-    F1 = step_residual(prob, u)
-    F2 = step_residual(prob2, u)
-    scale = np.max(np.abs(F1)) or 1.0
-    assert np.max(np.abs(F1 - F2)) <= 1e-13 * scale
-    assert step_energy(prob, u) == pytest.approx(step_energy(prob2, u), rel=1e-13)
-    # the stencil-row Jacobian: diagonal and action
-    w = random_state(mesh5, rng)
-    jac1, jac2 = linearize(prob, evaluate(prob, u)), linearize(prob2, evaluate(prob2, u))
-    assert np.max(np.abs(jac1.diag - jac2.diag)) <= 1e-13 * np.max(np.abs(jac1.diag))
-    Jw1 = step_jacobian_action(jac1, w)
-    Jw2 = step_jacobian_action(jac2, w)
-    assert np.max(np.abs(Jw1 - Jw2)) <= 1e-13 * np.max(np.abs(Jw1))
+    with pytest.raises(ValueError):
+        permuted_mesh(mesh5, rng)
+    for mesh in (mesh5, build_mesh(10, 14, 2.0, 1.5)):
+        prob = make_problem(mesh, seed=10)
+        params2 = dataclasses.replace(prob.params, mu=prob.params.mu[::-1])
+        prob2 = dataclasses.replace(prob, params=params2, u_prev=prob.u_prev[::-1],
+                                    a_bar=prob.a_bar[::-1])
+        u = random_state(mesh, rng)
+        F1 = step_residual(prob, u)
+        F2 = step_residual(prob2, u[::-1])[::-1]
+        assert np.max(np.abs(F1 - F2)) <= 1e-13 * np.max(np.abs(F1))
+        assert step_energy(prob, u) == pytest.approx(step_energy(prob2, u[::-1]), rel=1e-13)
+        # the stencil-row Jacobian: diagonal and action
+        w = random_state(mesh, rng)
+        jac1 = linearize(prob, evaluate(prob, u))
+        jac2 = linearize(prob2, evaluate(prob2, u[::-1]))
+        assert np.max(np.abs(jac1.diag - jac2.diag[::-1])) <= 1e-13 * np.max(np.abs(jac1.diag))
+        Jw1 = step_jacobian_action(jac1, w)
+        Jw2 = step_jacobian_action(jac2, w[::-1])[::-1]
+        assert np.max(np.abs(Jw1 - Jw2)) <= 1e-13 * np.max(np.abs(Jw1))
 
 
 def test_problem_validation(mesh3):

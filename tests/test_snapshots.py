@@ -35,6 +35,25 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back, field)
 
 
+def test_csv_read_checks_the_node_coordinates(tmp_path):
+    # a 5x7 field on [0, 1] x [0, 2] has the node count of a 7x5 mesh on
+    # [0, 3] x [0, 1], but its rows name other nodes
+    field = np.arange(35.0)
+    path = tmp_path / "field.csv"
+    write_snapshot(field, build_mesh(5, 7, 1.0, 2.0), path, "csv")
+    with pytest.raises(ValueError, match="data row 2 lies at"):
+        read_field_csv(path, build_mesh(7, 5, 3.0, 1.0))
+    # coordinates to seven significant digits name the same nodes
+    mesh = build_mesh(7, 5, 3.0, 1.0)
+    rows = [f"{x:.7g},{y:.7g},{v!r}" for (x, y), v in zip(mesh.nodes, field.tolist())]
+    path.write_text("x,y,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert np.array_equal(read_field_csv(path, mesh), field)
+    rows[3] = "nan,0.0,3.0"
+    path.write_text("x,y,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="data row 4 lies at"):
+        read_field_csv(path, mesh)
+
+
 def test_vtk_header_layout(tmp_path, mesh3):
     path = tmp_path / "u.vtk"
     write_snapshot(np.zeros(9), mesh3, path, "vtk", name="u")
