@@ -94,9 +94,10 @@ def _provenance(config: dict, **extra) -> dict:
 
 def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
     write_run_metadata(meta, outdir / "run_metadata.json")
-    # each state is formatted once, by states.csv, and its snapshots reuse it
+    # each distinct state is formatted once, by states.csv, and its
+    # snapshots reuse it; a repeated state reuses its predecessor's text
     text = SnapshotText(setup.mesh, meta)
-    states = [text.field(u) for u in traj.states]
+    states = text.fields(traj.states)
     write_states_csv(states, outdir / "states.csv", metadata=meta)
     record = compute_monitors(traj, setup.kappa)
     write_monitors_csv(record, outdir / "monitors.csv", metadata=meta)

@@ -143,8 +143,8 @@ def flux_weight(q: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
     if expo >= 0.0:
         return mu * q**expo
     w = np.zeros_like(q)
-    pos = q > 0.0
-    w[pos] = mu[pos] * q[pos] ** expo
+    np.power(q, expo, out=w, where=q > 0.0)
+    w *= mu
     return w
 
 

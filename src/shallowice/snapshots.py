@@ -15,8 +15,11 @@ metadata line, the CSV 'x,y,' node prefixes, the VTK header), and the
 `FieldText` it makes of a state formats the values into one comma-joined
 row when a writer first needs them.  `states.csv` streams that row, a CSV
 snapshot zips it with the node prefixes, and a VTK body puts one value on
-each line.  The writers also take plain numeric arrays, with the same
-bytes.
+each line.  A state equal to its predecessor is formatted once: in
+`SnapshotText.fields` a state whose bytes equal the previous state's
+shares that state's FieldText, and `read_states_csv` parses a row whose
+values repeat the previous row's text once.  The writers also take plain
+numeric arrays, with the same bytes.
 """
 
 from __future__ import annotations
@@ -77,6 +80,17 @@ class SnapshotText:
 
     def field(self, values) -> FieldText:
         return FieldText(self, values)
+
+    def fields(self, states) -> list[FieldText]:
+        """The FieldTexts of a sequence of states, where a state whose bytes
+        equal its predecessor's (so -0.0 is not 0.0) shares its FieldText."""
+        out = []
+        for values in states:
+            field = FieldText(self, values)
+            if out and field.values.tobytes() == out[-1].values.tobytes():
+                field = out[-1]
+            out.append(field)
+        return out
 
     @cached_property
     def csv_head(self) -> str:
@@ -243,7 +257,29 @@ def write_states_csv(states: list, path, metadata: dict | None = None) -> None:
 
 
 def read_states_csv(path) -> list:
-    """Read the states written by write_states_csv, one nodal array per step."""
+    """Read the states written by write_states_csv, one nodal array per step.
+
+    A row whose text after the step column repeats the previous row's is
+    parsed once; its step cell must still be a number.  Each returned
+    array is a row of its own.
+    """
+    counts = []
+
+    def distinct_rows(lines):
+        values = None
+        for line in lines:
+            # loadtxt skips a line with nothing before its newline or '#'
+            if not line.partition("#")[0].rstrip("\n"):
+                continue
+            step, _, rest = line.partition(",")
+            if rest == values:
+                float(step)  # loadtxt never sees this row's step cell
+                counts[-1] += 1
+            else:
+                counts.append(1)
+                values = rest
+                yield line
+
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
         while line.startswith(("#", "step,")) or line.isspace():
@@ -251,8 +287,8 @@ def read_states_csv(path) -> list:
         # checked here, since loadtxt only warns on a file without data rows
         if not line:
             raise ValueError(f"{path}: no state rows found")
-        table = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
-    return list(table[:, 1:])
+        table = np.loadtxt(distinct_rows(itertools.chain([line], fh)), delimiter=",", ndmin=2)
+    return list(np.repeat(table[:, 1:], counts, axis=0))
 
 
 def write_run_metadata(metadata: dict, path) -> None:

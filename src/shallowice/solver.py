@@ -1,17 +1,18 @@
 """Damped Newton solver for one implicit step.
 
 The step problem is the minimization of a strictly convex energy, so a
-descent method with line search converges from any starting point.  The
-start is whichever of two candidates has the lower energy: the given guess
-(the previous state by default) and the nodal minimizer, which minimizes
-the energy without its stiffness term node by node; a tie keeps the
-guess.  The guess wins where the stiffness term dominates, as under
-accumulation; the nodal minimizer wins where the nodal terms do, as where
-melt or a stiff penalty moves the state far within one step.  Each
-Newton iterate takes one path.  The residual is linearized once and
-assembled into the symmetric (4, n) stencil rows, with the Dirichlet
-entries masked out.  A Jacobi-preconditioned truncated
-conjugate-gradient solve, applying the rows by shifted slices, gives a
+descent method with line search converges from any starting point.  A
+guess (the previous state by default) that already meets the residual
+tolerance is the answer, as on the settled, obstacle-active steps once the
+ice has melted.  Otherwise the start is whichever of two candidates has
+the lower energy: the guess and the nodal minimizer, which minimizes the
+energy without its stiffness term node by node; a tie keeps the guess.
+The guess wins where the stiffness term dominates, as under accumulation;
+the nodal minimizer wins where the nodal terms do, as where melt or a
+stiff penalty moves the state far within one step.  Each Newton iterate
+takes one path.  The residual is linearized once and assembled into the
+symmetric (4, n) stencil rows, with the Dirichlet entries masked out.  A
+Jacobi-preconditioned truncated conjugate-gradient solve, applying the rows by shifted slices, gives a
 descent direction, and one backtracking line search on the step energy
 accepts the trial point by an Armijo decrease or, once the energy
 decrement sinks below roundoff, by a measurable drop of the residual.  A
@@ -19,7 +20,8 @@ line search that finds no such point raises NonConvergence.  Every point,
 the start and each trial, is evaluated once: evaluate returns its energy,
 residual and gradient state together, the solver carries the accepted
 StepPoint, and linearize reuses that point's gradient state.  A step costs
-2 + iterations + backtracks evaluations.
+2 + iterations + backtracks evaluations, or 1 when the guess meets the
+tolerance.
 """
 
 from __future__ import annotations
@@ -164,12 +166,16 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
                initial_guess: np.ndarray | None = None) -> StepResult:
     """Solve one implicit step to tolerance.
 
-    Newton starts from the lower-energy of initial_guess (u_prev when None)
-    and nodal_minimizer(problem), keeping the guess on a tie.  The returned
-    state is the unique energy minimizer up to tolerance and
-    is independent of the initial guess.  Energy is nonincreasing across
-    accepted iterates (up to the roundoff of the energy evaluation near
-    convergence).  Raises NonConvergence or NumericalBreakdown on failure.
+    A guess (u_prev when initial_guess is None) whose scaled residual
+    already meets tol_residual is returned as it is, after one evaluation
+    and 0 iterations.  Otherwise Newton starts from the lower-energy of the
+    guess and nodal_minimizer(problem), keeping the guess on a tie.  A step
+    costs 2 + iterations + backtracks evaluations, or 1 when the guess
+    meets the tolerance.  The returned state is the unique energy minimizer
+    up to tolerance and is independent of the initial guess.  Energy is
+    nonincreasing across accepted iterates (up to the roundoff of the
+    energy evaluation near convergence).  Raises NonConvergence or
+    NumericalBreakdown on failure.
     """
     cfg = config or SolverConfig()
     if initial_guess is None:
@@ -177,13 +183,16 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
     else:
         u = require_constrained(problem.mesh, initial_guess, "initial_guess").copy()
 
-    # start from the lower-energy of the guess and the nodal minimizer;
-    # a tie, or a NaN energy, keeps the guess
+    # a guess that meets the tolerance is the answer; otherwise start from
+    # the lower-energy of the guess and the nodal minimizer, where a tie,
+    # or a NaN energy, keeps the guess
     point = evaluate(problem, u)
-    nodal = evaluate(problem, nodal_minimizer(problem))
-    if nodal.energy < point.energy:
-        point = nodal
     res = scaled_residual_norm(problem, point.residual)
+    if not res <= cfg.tol_residual:
+        nodal = evaluate(problem, nodal_minimizer(problem))
+        if nodal.energy < point.energy:
+            point = nodal
+            res = scaled_residual_norm(problem, point.residual)
     history = [res]
     iterations = 0
     backtracks = 0

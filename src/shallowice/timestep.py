@@ -100,7 +100,8 @@ def run(
     """March the implicit scheme over the whole horizon, u^0 .. u^N.
 
     u^0 is params.u0.  Each step is given the previous state as its
-    initial guess, and solve_step starts from it or from the nodal
+    initial guess.  solve_step returns it when it already meets the
+    residual tolerance, and otherwise starts from it or from the nodal
     minimizer of the step, whichever has the lower energy; on a step
     failure a MarchError carrying the trajectory so far is raised.
     """

@@ -424,9 +424,12 @@ def test_monitors_rejects_a_negative_initial_state(tmp_path, capsys):
 
 
 def test_run_formats_each_field_once(tmp_path, monkeypatch):
-    # each state is formatted once for states.csv and both of its
-    # snapshots, H_final once for its two, and each coordinate column once
+    # each distinct state is formatted once for states.csv and both of its
+    # snapshots, H_final once for its two, and each coordinate column once;
+    # the melt run settles, and a state equal to its predecessor shares its
+    # text, so its files repeat the predecessor's bytes
     import shallowice.snapshots as snapshots
+    from shallowice.snapshots import read_states_csv
 
     calls = []
 
@@ -436,15 +439,34 @@ def test_run_formats_each_field_once(tmp_path, monkeypatch):
 
     fmt_array = snapshots._fmt_array
     monkeypatch.setattr(snapshots, "_fmt_array", counted)
-    N = 4
-    cfg = write_config(tmp_path / "run.json", tmp_path / "out",
-                       initial={"preset": "dome", "amplitude": 0.8},
-                       time={"T": 0.4, "N": N},
-                       output={"directory": str(tmp_path / "out"), "stride": 1,
-                               "formats": ["csv", "vtk"]})
-    assert cli(["run", str(cfg)]) == 0
-    assert len(sorted((tmp_path / "out").glob("u_*"))) == 2 * (N + 1)
-    assert len(calls) == (N + 2) + 2
+    runs = {
+        "dome": ({"preset": "constant", "value": 0.0}, 0.1, {"T": 0.4, "N": 4}),
+        "melt": ({"preset": "melt", "rate": -2.0}, 1.0, {"T": 2.0, "N": 40}),
+    }
+    for name, (forcing, mu, time) in runs.items():
+        calls.clear()
+        out = tmp_path / name
+        cfg = write_config(tmp_path / f"{name}.json", out,
+                           initial={"preset": "dome", "amplitude": 0.8},
+                           forcing=forcing, time=time,
+                           physics={"p": 3.0, "rho_g": 3.0, "A_const": 1.0, "mu": mu},
+                           output={"directory": str(out), "stride": 1,
+                                   "formats": ["csv", "vtk"]})
+        assert cli(["run", str(cfg)]) == 0
+        N = time["N"]
+        assert len(sorted(out.glob("u_*"))) == 2 * (N + 1)
+        states = read_states_csv(out / "states.csv")
+        repeats = [n for n in range(1, N + 1)
+                   if states[n].tobytes() == states[n - 1].tobytes()]
+        assert len(calls) == (N + 1 - len(repeats)) + 1 + 2
+        if name == "dome":
+            assert not repeats
+        else:
+            assert len(repeats) > N // 4
+            for n in repeats:
+                for fmt in ("csv", "vtk"):
+                    assert ((out / f"u_{n:06d}.{fmt}").read_bytes()
+                            == (out / f"u_{n - 1:06d}.{fmt}").read_bytes())
 
 
 def test_run_melt_writes_clipped_thickness(tmp_path):

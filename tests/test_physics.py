@@ -3,11 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shallowice import ConstantForcing, diagnostic_flux, make_params, thickness_from_u
+from shallowice import (
+    ConstantForcing,
+    build_mesh,
+    diagnostic_flux,
+    make_params,
+    thickness_from_u,
+)
 from shallowice.physics import (
     PhysicalRangeWarning,
     alpha_of,
     dphi_power_reg,
+    flux_weight,
     glen_mu,
     neg_part,
     phi_power_reg,
@@ -130,6 +137,23 @@ def test_diagnostic_flux_cases(mesh5):
     u = 3.0 * mesh5.nodes[:, 0] + 4.0 * mesh5.nodes[:, 1]
     Q = diagnostic_flux(mesh5, u, params2)
     assert np.allclose(Q, [-30.0, -40.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+def test_flux_weight_below_p2_matches_gathered_formula(p):
+    # the masked power gives the bits of the gather/scatter formula it
+    # replaced, 0 on flat triangles, with mu carrying the triangle areas
+    mesh = build_mesh(17, 17, 1.0, 1.0)
+    rng = np.random.default_rng(5)
+    q = rng.uniform(0.0, 4.0, mesh.n_triangles) ** 3
+    q[rng.random(mesh.n_triangles) < 0.3] = 0.0
+    mu = mesh.areas * rng.uniform(0.5, 2.0, mesh.n_triangles)
+    expected = np.zeros_like(q)
+    pos = q > 0.0
+    expected[pos] = mu[pos] * q[pos] ** (0.5 * (p - 2.0))
+    got = flux_weight(q, mu, p)
+    assert got.tobytes() == expected.tobytes()
+    assert np.all(got[~pos] == 0.0)
 
 
 def test_params_validation(mesh3):

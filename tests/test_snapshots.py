@@ -210,3 +210,52 @@ def test_formatted_field_needs_its_mesh_and_metadata(tmp_path, mesh3):
         write_snapshot(formatted, mesh3, tmp_path / "u.csv", "csv", metadata=dict(meta))
     with pytest.raises(ValueError):
         SnapshotText(mesh3).field(np.zeros(4))
+
+
+def test_repeated_field_is_formatted_once(tmp_path, mesh3, monkeypatch):
+    # a state equal to its predecessor byte for byte shares its FieldText;
+    # one that differs only by a signed zero does not, so both round-trip
+    import shallowice.snapshots as snapshots
+
+    calls = []
+    fmt_array = snapshots._fmt_array
+    monkeypatch.setattr(snapshots, "_fmt_array", lambda a: calls.append(a) or fmt_array(a))
+    field = np.resize(np.array(AWKWARD), mesh3.n_nodes)
+    positive = np.where(field == 0.0, 0.0, field)
+    assert positive.tobytes() != field.tobytes() and np.array_equal(positive, field)
+    states = SnapshotText(mesh3).fields([field, field.copy(), positive, positive, field])
+    assert states[1] is states[0] and states[3] is states[2]
+    assert len({id(s) for s in states}) == 3
+    write_states_csv(states, tmp_path / "states.csv")
+    assert len(calls) == 3
+    back = read_states_csv(tmp_path / "states.csv")
+    assert [u.tobytes() for u in back] == [s.values.tobytes() for s in states]
+    assert back[0].tobytes() != back[2].tobytes()
+
+
+def test_states_read_repeated_rows(tmp_path):
+    # repeated rows are parsed once into equal but independent arrays; a
+    # blank or comment line within a run of them is skipped as loadtxt
+    # skips it
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal(5), rng.standard_normal(5)
+    path = tmp_path / "states.csv"
+    write_states_csv([a, a, b, b, b, a], path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(2, "\n")
+    lines.insert(5, "# a note\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    back = read_states_csv(path)
+    assert [u.tobytes() for u in back] == [u.tobytes() for u in (a, a, b, b, b, a)]
+    back[0][:] = 7.0
+    back[3][:] = 7.0
+    assert back[1].tobytes() == a.tobytes()
+    assert back[2].tobytes() == back[4].tobytes() == b.tobytes()
+
+    # a repeated row still needs a numeric step cell
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for step in ("x", ""):
+        broken = lines[:-1] + [step + lines[-2][lines[-2].index(","):]]
+        path.write_text("".join(broken), encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_states_csv(path)

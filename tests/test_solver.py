@@ -21,7 +21,13 @@ from shallowice import (
     step_energy,
     step_residual,
 )
-from shallowice.operators import DEFAULT_EPS, evaluate, linearize, step_jacobian_action
+from shallowice.operators import (
+    DEFAULT_EPS,
+    evaluate,
+    linearize,
+    nodal_minimizer,
+    step_jacobian_action,
+)
 from shallowice.physics import PhysicalRangeWarning
 from shallowice.solver import NumericalBreakdown, inner_linear_solve
 
@@ -205,11 +211,19 @@ def test_inner_solve_truncates_on_nonpositive_curvature():
 
 
 def test_nonconvergence_reports_history(mesh5):
-    prob = make_problem(mesh5, seed=32)
+    # the history starts at the residual of the chosen start: the warm
+    # start, and under strong melt the nodal minimizer
     cfg = SolverConfig(max_newton=1, tol_residual=1e-14)
-    with pytest.raises(NonConvergence) as err:
-        solve_step(prob, cfg)
-    assert len(err.value.residual_history) >= 1
+    for a_bar, nodal_wins in ((None, False), (np.full(mesh5.n_nodes, -4.0), True)):
+        prob = make_problem(mesh5, seed=32, a_bar=a_bar)
+        nodal = nodal_minimizer(prob)
+        assert (step_energy(prob, nodal) < step_energy(prob, prob.u_prev)) == nodal_wins
+        start = nodal if nodal_wins else prob.u_prev
+        with pytest.raises(NonConvergence) as err:
+            solve_step(prob, cfg)
+        history = err.value.residual_history
+        assert len(history) >= 1
+        assert history[0] == scaled_residual_norm(prob, step_residual(prob, start))
 
 
 def test_guess_validation(mesh5):
@@ -238,9 +252,9 @@ def test_result_residual_matches_recomputation(mesh5):
 
 
 def test_solve_step_evaluates_each_point_once(monkeypatch, mesh9):
-    # one evaluation for each of the two starts and one per line-search
-    # trial, each with a single gradient pass; linearize reuses the
-    # accepted point.  This problem needs a backtrack.
+    # an unsettled step: one evaluation for each of the two starts and one
+    # per line-search trial, each with a single gradient pass; linearize
+    # reuses the accepted point.  This problem needs a backtrack.
     import shallowice.operators as operators
     import shallowice.solver as solver
 
@@ -260,6 +274,32 @@ def test_solve_step_evaluates_each_point_once(monkeypatch, mesh9):
     assert result.iterations > 0 and result.backtracks > 0
     assert calls["evaluate"] == 2 + result.iterations + result.backtracks
     assert calls["gradients"] == calls["evaluate"]
+
+
+def test_solve_step_returns_a_settled_guess_after_one_evaluation(monkeypatch, mesh9):
+    # a guess that already meets the tolerance is the answer: one
+    # evaluation, no nodal minimizer, 0 iterations and the guess's bits
+    import shallowice.solver as solver
+
+    prob = make_problem(mesh9, p=5.0, seed=3)
+    guess = solve_step(prob).u_next
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    def unused(problem):
+        raise AssertionError("a settled step needs no nodal minimizer")
+
+    monkeypatch.setattr(solver, "evaluate", counted)
+    monkeypatch.setattr(solver, "nodal_minimizer", unused)
+    result = solve_step(prob, initial_guess=guess)
+    assert len(calls) == 1
+    assert result.iterations == 0 and result.backtracks == 0
+    assert result.u_next.tobytes() == guess.tobytes()
+    assert result.final_residual <= SolverConfig().tol_residual
+    assert result.final_energy == step_energy(prob, guess)
 
 
 def test_flat_triangles_below_p2_converge(mesh9):
