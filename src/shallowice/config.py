@@ -143,8 +143,10 @@ def parse_config(text: str) -> dict:
     initial {preset, amplitude} or {csv}; solver {tol_residual?,
     max_newton?, cg_tol?}; output {directory?, stride?, formats?}.
     Solver, regularization, and output fields have defaults; everything
-    physical is required.  The returned dict has every default filled in,
-    so parse_config(json.dumps(config)) == config.
+    physical is required.  solver.cg_tol is the tightest relative residual
+    of the inner solve, which each Newton iterate loosens to its forcing
+    term, at most the solver module's ETA_MAX.  The returned dict has
+    every default filled in, so parse_config(json.dumps(config)) == config.
     """
     try:
         raw = json.loads(text)

@@ -113,6 +113,24 @@ def check_sc1_prime(traj: Trajectory):
     return True, None
 
 
+def _state_runs(states):
+    """The first state of each run of equal states, and the run lengths.
+
+    States are equal when their bytes are, as in SnapshotText.fields, so a
+    settled run, whose states repeat their predecessor, is one run.
+    """
+    distinct, counts, previous = [], [], None
+    for u in states:
+        key = u.tobytes()
+        if key == previous:
+            counts[-1] += 1
+        else:
+            distinct.append(u)
+            counts.append(1)
+            previous = key
+    return distinct, counts
+
+
 def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
     """Evaluate every monitored quantity on a finished trajectory."""
     mesh = traj.mesh
@@ -122,9 +140,17 @@ def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
     m = mesh.lumped_mass
     alpha_conj = alpha / (alpha - 1.0)
 
-    la_pows = np.array([float(m @ np.abs(u) ** alpha) for u in traj.states])
-    w1p_pows = np.array([w1p_seminorm_pow(mesh, u, p) for u in traj.states])
-    half_pow = [signed_power(u, 0.5 * alpha) for u in traj.states]
+    # each term of a state is computed once per run of equal states and
+    # repeated over the run, so the sums and maxima see the same values
+    distinct, counts = _state_runs(traj.states)
+
+    def per_state(term):
+        return np.repeat([term(u) for u in distinct], counts)
+
+    la_pows = per_state(lambda u: float(m @ np.abs(u) ** alpha))
+    w1p_pows = per_state(lambda u: w1p_seminorm_pow(mesh, u, p))
+    half = [signed_power(u, 0.5 * alpha) for u in distinct]
+    half_pow = [w for w, c in zip(half, counts) for _ in range(c)]
 
     est1 = float(np.max(la_pows) ** (1.0 / alpha))
     est2 = float(ell * np.sum(w1p_pows))
@@ -134,13 +160,13 @@ def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
             for n in range(traj.N)
         )
     )
-    est3_1 = float(np.sqrt(max(float(m @ w**2) for w in half_pow)))
+    est3_1 = float(np.sqrt(max(float(m @ w**2) for w in half)))
     est4 = float(np.max(w1p_pows) ** (1.0 / p))
     est5_1 = max(
-        lq_norm(mesh, signed_power(u, alpha - 1.0), alpha_conj) for u in traj.states
+        lq_norm(mesh, signed_power(u, alpha - 1.0), alpha_conj) for u in distinct
     )
 
-    neg_sq = np.array([float(m @ neg_part(u) ** 2) for u in traj.states])
+    neg_sq = per_state(lambda u: float(m @ neg_part(u) ** 2))
     pen_sum = float(ell / kappa * np.sum(neg_sq[1:]))
     neg_norm = float(np.sqrt(ell * np.sum(neg_sq[1:])))
     sc2_prime_value = float(np.sqrt(np.max(neg_sq)) / kappa)

@@ -259,17 +259,21 @@ def write_states_csv(states: list, path, metadata: dict | None = None) -> None:
 def read_states_csv(path) -> list:
     """Read the states written by write_states_csv, one nodal array per step.
 
-    A row whose text after the step column repeats the previous row's is
-    parsed once; its step cell must still be a number.  Each returned
-    array is a row of its own.
+    A line that is blank or whose first non-blank character is '#' is
+    skipped wherever it stands.  A row whose text after the step column
+    repeats the previous row's is parsed once; its step cell must still be
+    a number.  Each returned array is a row of its own.
     """
     counts = []
+
+    def skipped(line):
+        # lstrip copies nothing of a row that has no leading blank
+        return line.lstrip()[:1] in ("", "#")
 
     def distinct_rows(lines):
         values = None
         for line in lines:
-            # loadtxt skips a line with nothing before its newline or '#'
-            if not line.partition("#")[0].rstrip("\n"):
+            if skipped(line):
                 continue
             step, _, rest = line.partition(",")
             if rest == values:
@@ -282,7 +286,7 @@ def read_states_csv(path) -> list:
 
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
-        while line.startswith(("#", "step,")) or line.isspace():
+        while line and (skipped(line) or line.startswith("step,")):
             line = fh.readline()
         # checked here, since loadtxt only warns on a file without data rows
         if not line:

@@ -12,8 +12,16 @@ the nodal minimizer wins where the nodal terms do, as where melt or a
 stiff penalty moves the state far within one step.  Each Newton iterate
 takes one path.  The residual is linearized once and assembled into the
 symmetric (4, n) stencil rows, with the Dirichlet entries masked out.  A
-Jacobi-preconditioned truncated conjugate-gradient solve, applying the rows by shifted slices, gives a
-descent direction, and one backtracking line search on the step energy
+Jacobi-preconditioned truncated conjugate-gradient solve, applying the
+rows by shifted slices, gives a descent direction.  The solve is inexact
+(Dembo, Eisenstat & Steihaug 1982): iterate k stops at the relative
+residual eta_k = max(cg_tol, min(ETA_MAX, max(0.9 (|F_k| / |F_k-1|)^2,
+0.1 tol_residual / res_k))), Eisenstat & Walker's (1996) choice 2 with
+gamma = 0.9, where F_k is the residual vector and res_k its scaled
+max-norm.  The first iterate has no ratio term, so it solves to cg_tol
+unless its start is already close to the tolerance; the floor keeps the
+last iterate from oversolving, and the cap ETA_MAX = 1e-3 keeps the Newton
+counts of exact solves.  One backtracking line search on the step energy
 accepts the trial point by an Armijo decrease or, once the energy
 decrement sinks below roundoff, by a measurable drop of the residual.  A
 line search that finds no such point raises NonConvergence.  Every point,
@@ -50,8 +58,10 @@ __all__ = [
     "solve_step",
 ]
 
-# fixed line-search and inner-solve controls
+# fixed line-search and inner-solve controls; ETA_MAX caps the forcing
+# term, the relative tolerance of an inexact inner solve
 ARMIJO_C = 1e-4
+ETA_MAX = 1e-3
 MAX_BACKTRACK = 40
 CG_MAX = 1500
 
@@ -82,8 +92,11 @@ class SolverConfig:
 
     tol_residual bounds the mass-scaled residual max-norm max_i |F_i|/m_i,
     max_newton caps the Newton iterates of one step and cg_tol is the
-    relative residual of the inner solve.  The Armijo constant and the
-    backtrack and CG caps are the fixed module constants above.
+    tightest relative residual of the inner solve: each iterate stops at
+    its forcing term, which lies between cg_tol and ETA_MAX, so cg_tol >=
+    ETA_MAX is the tolerance of every inner solve.  The Armijo constant,
+    the forcing-term cap and the backtrack and CG caps are the fixed
+    module constants above.
     """
 
     tol_residual: float = 1e-10
@@ -210,10 +223,17 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
                 residual_history=history,
             )
 
+        # the forcing term eta_k of the module docstring; the first
+        # iterate has no ratio term
+        norm = float(np.linalg.norm(point.residual))
+        eta = 0.1 * cfg.tol_residual / res
+        if iterations:
+            eta = max(eta, 0.9 * (norm / prev_norm) ** 2)
+        prev_norm = norm
         jac = linearize(problem, point)
         direction = inner_linear_solve(
             lambda w: step_jacobian_action(jac, w),
-            -point.residual, jac.diag, cfg.cg_tol, CG_MAX,
+            -point.residual, jac.diag, max(cfg.cg_tol, min(ETA_MAX, eta)), CG_MAX,
         )
         slope = float(point.residual @ direction)
         if not slope < 0.0:

@@ -375,6 +375,29 @@ def test_monitors_does_not_rewarn_about_the_run(tmp_path):
             out / "monitors.csv").read_bytes()
 
 
+def test_monitors_skips_blank_and_indented_comment_lines(tmp_path):
+    # a hand-edited states.csv: a blank or indented comment line between
+    # state rows is skipped as it is before the first row
+    from shallowice.snapshots import read_states_csv
+
+    cfg = write_config(tmp_path / "run.json", tmp_path / "out",
+                       initial={"preset": "dome", "amplitude": 0.8},
+                       forcing={"preset": "melt", "rate": -0.5})
+    assert cli(["run", str(cfg)]) == 0
+    out = tmp_path / "out"
+    path = out / "states.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    states = read_states_csv(path)
+    for extra in ("  # a note\n", "   \n", "\t\n"):
+        edited = lines[:3] + [extra] + lines[3:4] + [extra] + lines[4:]
+        path.write_text("".join(edited), encoding="utf-8")
+        back = read_states_csv(path)
+        assert [u.tobytes() for u in back] == [u.tobytes() for u in states]
+        assert cli(["monitors", str(out)]) == 0
+        assert (out / "monitors_recomputed.csv").read_bytes() == (
+            out / "monitors.csv").read_bytes()
+
+
 def test_monitors_rejects_broken_run_dir(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", tmp_path / "out",
                        initial={"preset": "dome", "amplitude": 0.8})

@@ -260,3 +260,27 @@ def test_monitor_assembly_order_invariance(mesh5):
     a = vi_residual(traj, family)
     b = vi_residual(traj2, [v[..., ::-1] for v in family])
     assert abs(a - b) <= 1e-13 * abs(a)
+
+def test_monitors_compute_each_state_once(monkeypatch, mesh9):
+    # the melt run settles: its states from step 29 on repeat their
+    # predecessor.  Each term is computed once per run of equal states, and
+    # the record has the bits of one computed state by state
+    import shallowice.monitors as monitors
+
+    traj = melt_traj(mesh9, T=2.0, N=40, rate=-2.0, mu=1.0)
+    states = traj.states
+    distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(states, states[1:]))
+    assert distinct < len(states)
+    calls = []
+
+    def counted(mesh, v, p):
+        calls.append(v)
+        return w1p_seminorm_pow(mesh, v, p)
+
+    monkeypatch.setattr(monitors, "w1p_seminorm_pow", counted)
+    rec = compute_monitors(traj, 1e-3)
+    assert len(calls) == distinct
+    monkeypatch.setattr(monitors, "_state_runs", lambda s: (list(s), [1] * len(s)))
+    by_state = compute_monitors(traj, 1e-3)
+    assert len(calls) == distinct + len(states)
+    assert list(map(repr, rec.as_dict().values())) == list(map(repr, by_state.as_dict().values()))

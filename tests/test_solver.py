@@ -302,6 +302,76 @@ def test_solve_step_returns_a_settled_guess_after_one_evaluation(monkeypatch, me
     assert result.final_energy == step_energy(prob, guess)
 
 
+def test_inner_solve_tolerance_follows_the_forcing_rule(monkeypatch, mesh9):
+    # each Newton iterate's inner solve stops at the capped forcing term
+    # max(cg_tol, min(ETA_MAX, max(0.9 (|F_k|/|F_k-1|)^2, 0.1 tol/res_k))),
+    # without the ratio at the first iterate; cg_tol >= ETA_MAX is exact
+    import shallowice.solver as solver
+
+    assert solver.ETA_MAX == 1e-3
+    prob = make_problem(mesh9, seed=1)
+    calls = []
+
+    def recorded(action, rhs, diag, cg_tol, cg_max):
+        calls.append((cg_tol, float(np.linalg.norm(rhs)), scaled_residual_norm(prob, -rhs)))
+        return inner_linear_solve(action, rhs, diag, cg_tol, cg_max)
+
+    monkeypatch.setattr(solver, "inner_linear_solve", recorded)
+    exact = solve_step(prob)
+    near = exact.u_next + zero_boundary(mesh9, np.full(mesh9.n_nodes, 1e-9))
+    for guess in (None, near):
+        for cfg in (SolverConfig(), SolverConfig(cg_tol=1e-2)):
+            calls.clear()
+            result = solve_step(prob, cfg, initial_guess=guess)
+            assert len(calls) == result.iterations > 0
+            tol, _, res = calls[0]
+            assert tol == max(cfg.cg_tol, min(1e-3, 0.1 * cfg.tol_residual / res))
+            for (tol, norm, res), (_, prev, _) in zip(calls[1:], calls):
+                eta = max(0.9 * (norm / prev) ** 2, 0.1 * cfg.tol_residual / res)
+                assert tol == max(cfg.cg_tol, min(1e-3, eta))
+            tols = [tol for tol, _, _ in calls]
+            if cfg.cg_tol >= 1e-3:
+                assert tols == [cfg.cg_tol] * len(tols)
+            else:
+                assert all(cfg.cg_tol <= tol <= 1e-3 for tol in tols)
+                assert any(cfg.cg_tol < tol < 1e-3 for tol in tols)
+                # a start close to the tolerance does not solve to cg_tol
+                assert (tols[0] > cfg.cg_tol) == (guess is near)
+
+
+def test_inexact_inner_solves_keep_the_newton_count(monkeypatch):
+    # the 33^2 dome under melt: against exact inner solves (ETA_MAX =
+    # cg_tol), the forcing terms cost no Newton iterate, save CG iterations
+    # and move the final state by far less than the tolerance
+    import shallowice.solver as solver
+
+    mesh = build_mesh(33, 33, 1.0, 1.0)
+    H0 = initial_thickness_field("dome", 1.0, mesh)
+    params = make_params(mesh, 3.0, MeltForcing(-2.0), H0=H0, mu=1.0)
+    grid = TimeGrid(2.0, 20)
+    cg = [0]
+
+    def counted(action, rhs, diag, cg_tol, cg_max):
+        def counted_action(w):
+            cg[0] += 1
+            return action(w)
+        return inner_linear_solve(counted_action, rhs, diag, cg_tol, cg_max)
+
+    monkeypatch.setattr(solver, "inner_linear_solve", counted)
+
+    def march():
+        cg[0] = 0
+        traj = run(mesh, params, grid, 1e-3)
+        return sum(d.iterations for d in traj.step_diagnostics), cg[0], traj.states[-1]
+
+    newton, cg_inexact, final = march()
+    monkeypatch.setattr(solver, "ETA_MAX", SolverConfig().cg_tol)
+    newton_exact, cg_exact, final_exact = march()
+    assert newton <= newton_exact == 44
+    assert cg_inexact < cg_exact
+    assert np.max(np.abs(final - final_exact)) <= 1e-8 * np.max(np.abs(final_exact))
+
+
 def test_flat_triangles_below_p2_converge(mesh9):
     # p < 2 without gradient regularization: the weight diverges on the
     # flat triangles outside an interior margin, but the flux there is 0
@@ -365,6 +435,13 @@ def test_dome_melt_marches_where_the_warm_start_failed(p, kappa, N, eps):
     # every step has a unique minimizer, yet Newton from the previous state
     # alone ran into the iteration cap on these cases
     assert_dome_melt_march_converges(p, kappa, N, eps)
+
+
+def test_p15_small_kappa_dome_melt_march_converges_at_129():
+    # small p and a stiff penalty on a fine mesh: with inner solves stopped
+    # at a forcing term capped at 1e-2 instead of ETA_MAX, step 0 ran into
+    # the Newton cap
+    assert_dome_melt_march_converges(1.5, 1e-6, 20, nx=129)
 
 
 @pytest.mark.xfail(strict=True, raises=MarchError,
