@@ -86,12 +86,34 @@ class MonitorRecord:
         return asdict(self)
 
 
+def _state_runs(states):
+    """The first state of each run of equal states, and the run lengths.
+
+    States are equal when their bytes are, as in SnapshotText.fields, so a
+    settled run, whose states repeat their predecessor, is one run.
+    """
+    distinct, counts, previous = [], [], None
+    for u in states:
+        key = u.tobytes()
+        if key == previous:
+            counts[-1] += 1
+        else:
+            distinct.append(u)
+            counts.append(1)
+            previous = key
+    return distinct, counts
+
+
 def check_sc1(traj: Trajectory, kappa: float) -> float:
-    """Stability sum (1/kappa) sum_n sum_i m_i {u^(n+1)_i}^- (u^(n+1)_i - u^n_i)."""
+    """Stability sum (1/kappa) sum_n sum_i m_i {u^(n+1)_i}^- (u^(n+1)_i - u^n_i).
+
+    A state equal to its predecessor adds an exact 0, so the sum runs over
+    consecutive distinct states only.
+    """
     m = traj.mesh.lumped_mass
+    distinct, _ = _state_runs(traj.states)
     total = 0.0
-    for n in range(traj.N):
-        un, un1 = traj.states[n], traj.states[n + 1]
+    for un, un1 in zip(distinct, distinct[1:]):
         total += float(m @ (neg_part(un1) * (un1 - un)))
     return total / kappa
 
@@ -113,24 +135,6 @@ def check_sc1_prime(traj: Trajectory):
     return True, None
 
 
-def _state_runs(states):
-    """The first state of each run of equal states, and the run lengths.
-
-    States are equal when their bytes are, as in SnapshotText.fields, so a
-    settled run, whose states repeat their predecessor, is one run.
-    """
-    distinct, counts, previous = [], [], None
-    for u in states:
-        key = u.tobytes()
-        if key == previous:
-            counts[-1] += 1
-        else:
-            distinct.append(u)
-            counts.append(1)
-            previous = key
-    return distinct, counts
-
-
 def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
     """Evaluate every monitored quantity on a finished trajectory."""
     mesh = traj.mesh
@@ -141,7 +145,8 @@ def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
     alpha_conj = alpha / (alpha - 1.0)
 
     # each term of a state is computed once per run of equal states and
-    # repeated over the run, so the sums and maxima see the same values
+    # repeated over the run, so the sums and maxima see the same values; a
+    # repeated state adds an exact 0 to the increment sum of est3
     distinct, counts = _state_runs(traj.states)
 
     def per_state(term):
@@ -150,16 +155,10 @@ def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
     la_pows = per_state(lambda u: float(m @ np.abs(u) ** alpha))
     w1p_pows = per_state(lambda u: w1p_seminorm_pow(mesh, u, p))
     half = [signed_power(u, 0.5 * alpha) for u in distinct]
-    half_pow = [w for w, c in zip(half, counts) for _ in range(c)]
 
     est1 = float(np.max(la_pows) ** (1.0 / alpha))
     est2 = float(ell * np.sum(w1p_pows))
-    est3 = float(
-        ell * sum(
-            float(m @ ((half_pow[n + 1] - half_pow[n]) / ell) ** 2)
-            for n in range(traj.N)
-        )
-    )
+    est3 = float(ell * sum(float(m @ ((b - a) / ell) ** 2) for a, b in zip(half, half[1:])))
     est3_1 = float(np.sqrt(max(float(m @ w**2) for w in half)))
     est4 = float(np.max(w1p_pows) ** (1.0 / p))
     est5_1 = max(

@@ -14,16 +14,17 @@ minimizer.  Time, penalty, and forcing terms use the lumped nodal masses
 m_i, which keeps the pointwise nonlinearities decoupled across nodes.
 
 evaluate is the one home of both formulas: from one pass over the triangle
-gradients it returns a StepPoint with the energy, the residual and the
-gradient state (g, q and the flux weight); step_energy and step_residual
-read it.  flux_state and stiffness_vector are the one home of that
-gradient state and of the stiffness action S, which the VI certificate of
-monitors reuses; nodal_residual and nodal_slope are the one home of the
-nodal terms of the residual per unit mass and of their slope.  Without its
-stiffness term the energy is a sum of functions of one nodal value each,
-and nodal_minimizer returns its minimizer node by node.  The Jacobian is
-linearized once per Newton iterate from the accepted StepPoint, reusing its
-gradient state.  Every triangle is a right triangle with legs along x and
+gradients it returns a StepPoint with the energy, the residual, the
+gradient state (g, q and the flux weight) and the nodal slope;
+step_energy and step_residual read it.  flux_state and stiffness_vector
+are the one home of that gradient state and of the stiffness action S,
+which the VI certificate of monitors reuses; nodal_terms is the one home
+of the nodal law, the energy density, residual and slope per unit mass,
+and of its eps = 0 fork.  Without its stiffness term the energy is a sum
+of functions of one nodal value each, and nodal_minimizer returns its
+minimizer node by node.  The Jacobian is linearized once per Newton
+iterate from the accepted StepPoint alone, reusing its gradient state and
+nodal slope.  Every triangle is a right triangle with legs along x and
 y, so its element matrix is fixed by three couplings, along the legs and
 the cell diagonal; linearize adds them by slices of the node grid into
 four rows of length n: the couplings at offsets +1, +nx and +nx+1 of the
@@ -47,7 +48,7 @@ from .mesh import (
     scatter_vertex_sums,
     triangle_gradients,
 )
-from .physics import PhysicalParams, dphi_power_reg, flux_weight, phi_power_reg, signed_power
+from .physics import PhysicalParams, dphi_power_reg, flux_weight, signed_power
 
 __all__ = [
     "StepProblem",
@@ -56,8 +57,7 @@ __all__ = [
     "evaluate",
     "flux_state",
     "stiffness_vector",
-    "nodal_residual",
-    "nodal_slope",
+    "nodal_terms",
     "nodal_minimizer",
     "step_energy",
     "step_residual",
@@ -125,6 +125,7 @@ class StepPoint:
     residual   step_residual at u, zero rows on the boundary
     g, q       per-triangle state gradient and |g|^2 + delta^2
     weight     per-triangle flux weight |T| mu q^((p-2)/2)
+    slope      the nodal slope of nodal_terms at u, per unit mass
     """
 
     u: np.ndarray
@@ -133,10 +134,11 @@ class StepPoint:
     g: np.ndarray
     q: np.ndarray
     weight: np.ndarray
+    slope: np.ndarray
 
 
 def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
-    """Energy, residual and gradient state of the implicit step at u.
+    """Energy, residual, gradient state and nodal slope of the step at u.
 
     The energy is the convex objective
 
@@ -154,43 +156,47 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
     params = problem.params
     u = require_constrained(mesh, u, "u")
     m = mesh.lumped_mass
-    alpha, eps = params.alpha, problem.eps
 
     g, q, weight = flux_state(mesh, params, u, problem.delta)
-
-    if eps == 0.0:
-        pw = np.abs(u) ** alpha / alpha
-    else:
-        pw = ((u * u + eps * eps) ** (0.5 * alpha) - eps**alpha) / alpha
-    nodal = (
-        pw / problem.ell
-        - problem.phi_prev * u / problem.ell
-        + np.minimum(u, 0.0) ** 2 / (2.0 * problem.kappa)
-        - problem.a_bar * u
-    )
+    density, residual, slope = nodal_terms(problem, u)
     # |T| mu q^(p/2) / p, through the flux weight |T| mu q^((p-2)/2)
-    energy = float(m @ nodal + weight @ q / params.p)
+    energy = float(m @ density + weight @ q / params.p)
 
-    F = stiffness_vector(mesh, g, weight) + m * nodal_residual(problem, u)
+    F = stiffness_vector(mesh, g, weight) + m * residual
     F[mesh.boundary_mask] = 0.0
-    return StepPoint(u=u, energy=energy, residual=F, g=g, q=q, weight=weight)
+    return StepPoint(u=u, energy=energy, residual=F, g=g, q=q, weight=weight, slope=slope)
 
 
-def nodal_residual(problem: StepProblem, u: np.ndarray) -> np.ndarray:
-    """The nodal terms of the residual per unit mass at every node,
-    (phi_eps(u) - phi(uprev))/ell + min(u, 0)/kappa - abar."""
-    power = phi_power_reg(u, problem.params.alpha, problem.eps)
-    return ((power - problem.phi_prev) / problem.ell
-            + np.minimum(u, 0.0) / problem.kappa - problem.a_bar)
+def nodal_terms(problem: StepProblem,
+                u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodal terms of the step per unit mass at every node: the energy
+    density, the residual and its slope,
 
+        density   (pw(u) - phi(uprev) u)/ell + min(u, 0)^2/(2 kappa) - abar u
+        residual  (phi_eps(u) - phi(uprev))/ell + min(u, 0)/kappa - abar
+        slope     phi_eps'(u)/ell + [u < 0]/kappa
 
-def nodal_slope(problem: StepProblem, u: np.ndarray) -> np.ndarray:
-    """Slope phi_eps'(u)/ell + [u < 0]/kappa of nodal_residual (0 for min(u, 0)
-    at u = 0); at eps = 0 phi_eps' is evaluated at max(|u|, SINGULAR_STATE)."""
-    eps = problem.eps
-    u_slope = u if eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
-    power = dphi_power_reg(u_slope, problem.params.alpha, eps)
-    return power / problem.ell + (u < 0.0) / problem.kappa
+    with pw as in evaluate and the slope of min(u, 0) taken as 0 at u = 0.
+    pw and phi_eps share one power of u^2 + eps^2; at eps = 0, of |u|, and
+    phi_eps' is evaluated at max(|u|, SINGULAR_STATE).
+    """
+    alpha, eps = problem.params.alpha, problem.eps
+    if eps == 0.0:
+        size = np.abs(u)
+        power = size ** (alpha - 1.0)
+        phi, pw = np.sign(u) * power, power * size / alpha
+        u_slope = np.maximum(size, SINGULAR_STATE)
+    else:
+        s = u * u + eps * eps
+        power = s ** (0.5 * (alpha - 2.0))
+        phi, pw = power * u, (power * s - eps**alpha) / alpha
+        u_slope = u
+    ell, kappa, neg = problem.ell, problem.kappa, np.minimum(u, 0.0)
+    density = (pw / ell - problem.phi_prev * u / ell
+               + neg**2 / (2.0 * kappa) - problem.a_bar * u)
+    residual = (phi - problem.phi_prev) / ell + neg / kappa - problem.a_bar
+    slope = dphi_power_reg(u_slope, alpha, eps) / ell + (u < 0.0) / kappa
+    return density, residual, slope
 
 
 def flux_state(mesh: StructuredMesh, params: PhysicalParams, u: np.ndarray,
@@ -229,7 +235,7 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
 
     The time, penalty and forcing terms of the energy (see evaluate) are
     nodal and strictly convex, so their minimizer solves, at every node,
-    the scalar monotone equation nodal_residual(u) = 0, that is
+    the scalar monotone equation that zeroes the residual of nodal_terms,
 
         phi_eps(u)/ell + min(u, 0)/kappa = r,   r = phi(uprev)/ell + abar,
 
@@ -239,8 +245,8 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
     residual, and a step that leaves the bracket is replaced by its
     bisection.  With b = max(eps, (ell |r| 2^((2-alpha)/2))^(1/(alpha-1))),
     which bounds |phi_eps|^(-1)(ell |r|), the bracket is [0, b] for r >= 0
-    and [-min(kappa |r|, b), 0] for r < 0.  The Newton slope is
-    nodal_slope, as in linearize.
+    and [-min(kappa |r|, b), 0] for r < 0.  The Newton slope is the
+    nodal_terms slope, as in linearize.
     """
     alpha, eps = problem.params.alpha, problem.eps
     ell, kappa = problem.ell, problem.kappa
@@ -257,10 +263,10 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
     u = np.where(up, closed, lo)
 
     for _ in range(NODAL_MAX_ITER):
-        f = nodal_residual(problem, u)
+        _, f, slope = nodal_terms(problem, u)
         lo = np.where(f <= 0.0, u, lo)
         hi = np.where(f >= 0.0, u, hi)
-        new = u - f / nodal_slope(problem, u)
+        new = u - f / slope
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
         # a NaN input stays NaN and counts as settled
         moving = np.abs(new - u) > NODAL_RTOL * np.abs(new)
@@ -302,9 +308,9 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
     On triangle T with hat gradients B_T (rows) and state gradient g_T,
     K_T = weight_T B_T B_T^T + coef_T (B_T g_T)(B_T g_T)^T, where
     weight = |T| mu q^((p-2)/2) and coef = (p-2) weight / q, with g, q and
-    weight taken from the point.  With s = gx/hx, t = gy/hy and d = s - t,
-    the hat gradients +-1/hx, +-1/hy make the off-diagonal entries of K_T,
-    on both triangles of a cell,
+    weight taken from the point, like the nodal slope.  With s = gx/hx,
+    t = gy/hy and d = s - t, the hat gradients +-1/hx, +-1/hy make the
+    off-diagonal entries of K_T, on both triangles of a cell,
 
         x-leg     -(weight/hx^2 + coef s d)   lower: ll-lr, upper: ul-ur
         y-leg     -(weight/hy^2 - coef t d)   lower: lr-ur, upper: ll-ul
@@ -312,16 +318,17 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
 
     and every row of K_T sums to 0, as the hat functions sum to one.  The
     couplings are summed into rows by slices of the node grid, the
-    diagonal is minus the sum of its row's couplings plus m nodal_slope,
-    the slope of the nodal time and penalty terms, and the mask
+    diagonal is minus the sum of its row's couplings plus m times the
+    point's slope, that of the nodal time and penalty terms, and the mask
     mesh.interior_couplings drops the Dirichlet entries.  The Jacobian is
     exactly symmetric and positive semidefinite as a bilinear form
-    (definite for eps > 0).  The eps = 0 clamp of nodal_slope changes only
-    the Newton direction, never the residual that convergence is judged on.
+    (definite for eps > 0).  The eps = 0 clamp of the nodal slope changes
+    only the Newton direction, never the residual that convergence is
+    judged on.
     """
     mesh = problem.mesh
     params = problem.params
-    u, g, q, weight = point.u, point.g, point.q, point.weight
+    g, q, weight = point.g, point.q, point.weight
     hx, hy = mesh.spacing
     nx, n = mesh.nx, mesh.n_nodes
 
@@ -352,7 +359,7 @@ def linearize(problem: StepProblem, point: StepPoint) -> StepJacobian:
     rows[0, nx + 1:] += rows[3, :-nx - 1]
     rows[1:] *= -1.0
 
-    rows[0] += mesh.lumped_mass * nodal_slope(problem, u)
+    rows[0] += mesh.lumped_mass * point.slope
     rows *= mesh.interior_couplings.reshape(4, n)
     diag = np.where(mesh.boundary_mask, 1.0, rows[0])
     return StepJacobian(mesh=mesh, rows=rows, diag=diag)
@@ -379,6 +386,4 @@ def step_jacobian_action(jac: StepJacobian, w: np.ndarray) -> np.ndarray:
 def scaled_residual_norm(problem: StepProblem, F: np.ndarray) -> float:
     """Max over interior nodes of |F_i| / m_i; comparable across refinements."""
     free = problem.mesh.interior_mask
-    if not np.any(free):
-        return 0.0
     return float(np.max(np.abs(F[free]) / problem.mesh.lumped_mass[free]))

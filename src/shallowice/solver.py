@@ -26,10 +26,10 @@ accepts the trial point by an Armijo decrease or, once the energy
 decrement sinks below roundoff, by a measurable drop of the residual.  A
 line search that finds no such point raises NonConvergence.  Every point,
 the start and each trial, is evaluated once: evaluate returns its energy,
-residual and gradient state together, the solver carries the accepted
-StepPoint, and linearize reuses that point's gradient state.  A step costs
-2 + iterations + backtracks evaluations, or 1 when the guess meets the
-tolerance.
+residual, gradient state and nodal slope together, the solver carries the
+accepted StepPoint, and linearize reuses that point's gradient state and
+nodal slope.  A step costs 2 + iterations + backtracks evaluations, or 1
+when the guess meets the tolerance.
 """
 
 from __future__ import annotations

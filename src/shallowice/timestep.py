@@ -99,11 +99,12 @@ def run(
 ) -> Trajectory:
     """March the implicit scheme over the whole horizon, u^0 .. u^N.
 
-    u^0 is params.u0.  Each step is given the previous state as its
-    initial guess.  solve_step returns it when it already meets the
-    residual tolerance, and otherwise starts from it or from the nodal
-    minimizer of the step, whichever has the lower energy; on a step
-    failure a MarchError carrying the trajectory so far is raised.
+    u^0 is params.u0.  Each step's guess is its previous state, the
+    u_prev of its StepProblem and so solve_step's default: solve_step
+    returns it when it already meets the residual tolerance, and otherwise
+    starts from it or from the nodal minimizer of the step, whichever has
+    the lower energy; on a step failure a MarchError carrying the
+    trajectory so far is raised.
     """
     cfg = solver_config or SolverConfig()
     traj = Trajectory(
@@ -117,7 +118,7 @@ def run(
             ell=time_grid.ell, kappa=kappa, delta=delta, eps=eps,
         )
         try:
-            result = solve_step(problem, cfg, initial_guess=traj.states[-1])
+            result = solve_step(problem, cfg)
         except SolverError as err:
             raise MarchError(n, traj, err) from err
         traj.states.append(result.u_next)

@@ -24,6 +24,7 @@ from shallowice.monitors import (
     lq_norm,
     w1p_seminorm_pow,
 )
+from shallowice.physics import neg_part
 
 from conftest import zero_boundary
 
@@ -264,7 +265,8 @@ def test_monitor_assembly_order_invariance(mesh5):
 def test_monitors_compute_each_state_once(monkeypatch, mesh9):
     # the melt run settles: its states from step 29 on repeat their
     # predecessor.  Each term is computed once per run of equal states, and
-    # the record has the bits of one computed state by state
+    # the record, sc1_value and est3 included, has the bits of one computed
+    # state by state
     import shallowice.monitors as monitors
 
     traj = melt_traj(mesh9, T=2.0, N=40, rate=-2.0, mu=1.0)
@@ -280,6 +282,16 @@ def test_monitors_compute_each_state_once(monkeypatch, mesh9):
     monkeypatch.setattr(monitors, "w1p_seminorm_pow", counted)
     rec = compute_monitors(traj, 1e-3)
     assert len(calls) == distinct
+    # check_sc1 takes one negative part per step between distinct states
+    negs = []
+
+    def counted_neg(f):
+        negs.append(f)
+        return neg_part(f)
+
+    monkeypatch.setattr(monitors, "neg_part", counted_neg)
+    assert check_sc1(traj, 1e-3) == rec.sc1_value
+    assert len(negs) == distinct - 1
     monkeypatch.setattr(monitors, "_state_runs", lambda s: (list(s), [1] * len(s)))
     by_state = compute_monitors(traj, 1e-3)
     assert len(calls) == distinct + len(states)

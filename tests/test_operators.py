@@ -8,6 +8,7 @@ import pytest
 from shallowice import (
     StepProblem,
     build_mesh,
+    initial_thickness_field,
     scaled_residual_norm,
     step_energy,
     step_residual,
@@ -18,10 +19,11 @@ from shallowice.operators import (
     evaluate,
     linearize,
     nodal_minimizer,
+    nodal_terms,
     step_jacobian_action,
     stiffness_vector,
 )
-from shallowice.physics import dphi_power_reg, phi_power_reg, signed_power
+from shallowice.physics import dphi_power_reg, phi_power_reg, signed_power, u_from_thickness
 from shallowice.verification import brute_force_step_oracle
 
 from conftest import make_problem, random_state, zero_boundary
@@ -511,3 +513,49 @@ def test_nodal_minimizer_solves_the_nodal_equation(mesh9, p, kappa, ell, eps):
     if eps == 0.0:
         up = free & (r >= 0.0)
         assert np.array_equal(u[up], (ell * r[up]) ** (1.0 / (alpha - 1.0)))
+
+
+@pytest.mark.parametrize("eps", [1e-10, 0.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_nodal_terms_match_the_physics_formulas(mesh9, p, eps):
+    # the residual and the slope carry the bits of phi_power_reg and
+    # dphi_power_reg: the last bits of the Jacobian diagonal decide whether
+    # the 129^2 p = 1.5 march converges.  The density matches pw to rounding
+    rng = np.random.default_rng(5)
+    n = mesh9.n_nodes
+    dome = u_from_thickness(initial_thickness_field("dome", 1.0, mesh9), p)
+    u = dome * rng.choice([-1.0, 1.0], n)
+    u[:5] = [0.0, 1e-15, -1e-15, 1e-8, -1e-8]
+    prob = make_problem(mesh9, p=p, kappa=1e-3, ell=0.1, eps=eps)
+    alpha, ell, kappa = prob.params.alpha, prob.ell, prob.kappa
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density, residual, slope = nodal_terms(prob, u)
+
+    neg = np.minimum(u, 0.0)
+    phi = phi_power_reg(u, alpha, eps)
+    assert np.array_equal(residual, (phi - prob.phi_prev) / ell + neg / kappa - prob.a_bar)
+    u_slope = u if eps > 0.0 else np.maximum(np.abs(u), SINGULAR_STATE)
+    expected = dphi_power_reg(u_slope, alpha, eps) / ell + (u < 0.0) / kappa
+    assert np.array_equal(slope, expected)
+
+    full = (u * u + eps * eps) ** (0.5 * alpha)
+    terms = [(full - eps**alpha) / (alpha * ell), -prob.phi_prev * u / ell,
+             neg**2 / (2.0 * kappa), -prob.a_bar * u]
+    scale = sum(np.abs(t) for t in terms) + eps**alpha / (alpha * ell)
+    assert np.all(np.abs(density - sum(terms)) <= 8 * np.finfo(float).eps * scale)
+
+
+def test_linearize_reads_the_slope_of_the_point(mesh5):
+    # the Jacobian diagonal adds m times the point's slope, which evaluate
+    # takes from nodal_terms; the couplings do not depend on it
+    prob = make_problem(mesh5, p=2.5)
+    u = random_state(mesh5, np.random.default_rng(2))
+    point = evaluate(prob, u)
+    assert np.array_equal(point.slope, nodal_terms(prob, u)[2])
+    jac = linearize(prob, point)
+    shifted = linearize(prob, dataclasses.replace(point, slope=point.slope + 1.0))
+    free = mesh5.interior_mask
+    assert np.allclose(shifted.rows[0, free] - jac.rows[0, free],
+                       mesh5.lumped_mass[free], rtol=1e-12, atol=0.0)
+    assert np.array_equal(shifted.rows[1:], jac.rows[1:])
