@@ -135,6 +135,11 @@ class _Section:
             raise ValidationError(self._field(key), "unknown key")
 
 
+def _reject_constant(name: str):
+    """json.loads accepts NaN, Infinity and -Infinity, which are not JSON."""
+    raise ConfigError(f"{name} is not a JSON number; numbers must be finite")
+
+
 def parse_config(text: str) -> dict:
     """Parse and validate a UTF-8 JSON run configuration into a plain dict.
 
@@ -147,9 +152,11 @@ def parse_config(text: str) -> dict:
     of the inner solve, which each Newton iterate loosens to its forcing
     term, at most the solver module's ETA_MAX.  The returned dict has
     every default filled in, so parse_config(json.dumps(config)) == config.
+    The literals NaN, Infinity and -Infinity, which json.loads would take,
+    are rejected.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise ConfigSyntaxError(err.msg, err.lineno, err.colno) from err
     top = _Section("", raw)

@@ -10,10 +10,15 @@ The monitored quantities are uniformly bounded in the step count and the
 penalty parameter for a stable run, so refining the march or shrinking the
 penalty should leave them nearly unchanged; the kappa sweep tracks the
 vanishing of the negative part as the penalty tightens.
+
+A run that settles repeats its state.  `snapshots.state_runs`, the one
+rule for a repeated state, splits the states into runs of equal bytes, and
+each term of a state is computed once per run.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -21,6 +26,7 @@ import numpy as np
 from .mesh import StructuredMesh, triangle_gradients
 from .operators import DEFAULT_DELTA, DEFAULT_EPS, flux_state, stiffness_vector
 from .physics import neg_part, signed_power
+from .snapshots import state_runs
 from .timestep import MarchError, SolverConfig, TimeGrid, Trajectory, average_forcing, run
 
 __all__ = [
@@ -86,34 +92,16 @@ class MonitorRecord:
         return asdict(self)
 
 
-def _state_runs(states):
-    """The first state of each run of equal states, and the run lengths.
-
-    States are equal when their bytes are, as in SnapshotText.fields, so a
-    settled run, whose states repeat their predecessor, is one run.
-    """
-    distinct, counts, previous = [], [], None
-    for u in states:
-        key = u.tobytes()
-        if key == previous:
-            counts[-1] += 1
-        else:
-            distinct.append(u)
-            counts.append(1)
-            previous = key
-    return distinct, counts
-
-
 def check_sc1(traj: Trajectory, kappa: float) -> float:
     """Stability sum (1/kappa) sum_n sum_i m_i {u^(n+1)_i}^- (u^(n+1)_i - u^n_i).
 
     A state equal to its predecessor adds an exact 0, so the sum runs over
-    consecutive distinct states only.
+    the first states of consecutive runs (state_runs) only.
     """
     m = traj.mesh.lumped_mass
-    distinct, _ = _state_runs(traj.states)
+    firsts, _ = state_runs(traj.states)
     total = 0.0
-    for un, un1 in zip(distinct, distinct[1:]):
+    for un, un1 in itertools.pairwise(firsts):
         total += float(m @ (neg_part(un1) * (un1 - un)))
     return total / kappa
 
@@ -147,7 +135,8 @@ def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
     # each term of a state is computed once per run of equal states and
     # repeated over the run, so the sums and maxima see the same values; a
     # repeated state adds an exact 0 to the increment sum of est3
-    distinct, counts = _state_runs(traj.states)
+    firsts, counts = state_runs(traj.states)
+    distinct = list(firsts)
 
     def per_state(term):
         return np.repeat([term(u) for u in distinct], counts)

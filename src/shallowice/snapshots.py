@@ -15,11 +15,14 @@ metadata line, the CSV 'x,y,' node prefixes, the VTK header), and the
 `FieldText` it makes of a state formats the values into one comma-joined
 row when a writer first needs them.  `states.csv` streams that row, a CSV
 snapshot zips it with the node prefixes, and a VTK body puts one value on
-each line.  A state equal to its predecessor is formatted once: in
-`SnapshotText.fields` a state whose bytes equal the previous state's
-shares that state's FieldText, and `read_states_csv` parses a row whose
-values repeat the previous row's text once.  The writers also take plain
-numeric arrays, with the same bytes.
+each line.  The writers also take plain numeric arrays, with the same bytes.
+
+A settled implicit step repeats its predecessor's state.  `state_runs` is
+the one rule for such a repeat: it splits a sequence into runs of
+consecutive items with equal keys, a state's bytes (so -0.0 is not 0.0)
+or a `states.csv` row's text after its step cell.  `SnapshotText.fields`
+gives each run one FieldText, `read_states_csv` parses the first row of
+each run, and the monitors compute each term once per run.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "read_states_csv",
     "write_run_metadata",
     "read_run_metadata",
+    "state_runs",
 ]
 
 # read_field_csv tolerance on x, y relative to Lx, Ly: seven significant
@@ -59,6 +63,25 @@ def _fmt(v) -> str:
 def _fmt_array(a) -> list[str]:
     """_fmt of every element; one tolist() instead of a float() per element."""
     return list(map(repr, np.asarray(a, dtype=float).tolist()))
+
+
+def state_runs(items, key=np.ndarray.tobytes):
+    """The first item of each run of consecutive items with equal keys, and
+    the run lengths; by default the items are states keyed by their bytes.
+
+    Returns (firsts, counts).  firsts is an iterator that reads the items
+    only as far as the run it yields, so a file streams through it; counts
+    grows as firsts is consumed and holds every run length once firsts is
+    exhausted.
+    """
+    counts = []
+
+    def firsts():
+        for _, run in itertools.groupby(items, key):
+            yield next(run)
+            counts.append(1 + sum(1 for _ in run))
+
+    return firsts(), counts
 
 
 def _metadata_lines(metadata: dict | None) -> list[str]:
@@ -82,15 +105,11 @@ class SnapshotText:
         return FieldText(self, values)
 
     def fields(self, states) -> list[FieldText]:
-        """The FieldTexts of a sequence of states, where a state whose bytes
-        equal its predecessor's (so -0.0 is not 0.0) shares its FieldText."""
-        out = []
-        for values in states:
-            field = FieldText(self, values)
-            if out and field.values.tobytes() == out[-1].values.tobytes():
-                field = out[-1]
-            out.append(field)
-        return out
+        """The FieldTexts of a sequence of states, where each run of equal
+        states (state_runs) shares the FieldText of its first state."""
+        firsts, counts = state_runs(map(self.field, states), lambda f: f.values.tobytes())
+        firsts = list(firsts)
+        return [field for field, count in zip(firsts, counts) for _ in range(count)]
 
     @cached_property
     def csv_head(self) -> str:
@@ -256,42 +275,31 @@ def write_states_csv(states: list, path, metadata: dict | None = None) -> None:
             fh.write(f"{n},{row}\n")
 
 
+def _row_values(line: str) -> str:
+    """The text of a states.csv row after its step cell, which must be a
+    number: loadtxt sees only the first row of each run."""
+    step, _, values = line.partition(",")
+    float(step)
+    return values
+
+
 def read_states_csv(path) -> list:
     """Read the states written by write_states_csv, one nodal array per step.
 
     A line that is blank or whose first non-blank character is '#' is
-    skipped wherever it stands.  A row whose text after the step column
-    repeats the previous row's is parsed once; its step cell must still be
-    a number.  Each returned array is a row of its own.
+    skipped wherever it stands.  Each run of rows whose text after the step
+    column repeats (state_runs) is parsed once; every step cell must still
+    be a number.  Each returned array is a row of its own.
     """
-    counts = []
-
-    def skipped(line):
-        # lstrip copies nothing of a row that has no leading blank
-        return line.lstrip()[:1] in ("", "#")
-
-    def distinct_rows(lines):
-        values = None
-        for line in lines:
-            if skipped(line):
-                continue
-            step, _, rest = line.partition(",")
-            if rest == values:
-                float(step)  # loadtxt never sees this row's step cell
-                counts[-1] += 1
-            else:
-                counts.append(1)
-                values = rest
-                yield line
-
     with open(path, encoding="utf-8") as fh:
-        line = fh.readline()
-        while line and (skipped(line) or line.startswith("step,")):
-            line = fh.readline()
+        # lstrip copies nothing of a row that has no leading blank
+        rows = (line for line in fh if line.lstrip()[:1] not in ("", "#"))
+        first = next((line for line in rows if not line.startswith("step,")), None)
         # checked here, since loadtxt only warns on a file without data rows
-        if not line:
+        if first is None:
             raise ValueError(f"{path}: no state rows found")
-        table = np.loadtxt(distinct_rows(itertools.chain([line], fh)), delimiter=",", ndmin=2)
+        firsts, counts = state_runs(itertools.chain([first], rows), _row_values)
+        table = np.loadtxt(firsts, delimiter=",", ndmin=2)
     return list(np.repeat(table[:, 1:], counts, axis=0))
 
 

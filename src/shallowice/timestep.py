@@ -72,13 +72,15 @@ class Trajectory:
 
 
 class MarchError(RuntimeError):
-    """A step solve failed; carries the step index and the partial trajectory."""
+    """A step solve failed; carries the step index and the partial trajectory.
+
+    The SolverError of the step is its __cause__.
+    """
 
     def __init__(self, step_index: int, partial: Trajectory, cause: Exception):
         super().__init__(f"failed at step {step_index}: {cause}")
         self.step_index = step_index
         self.partial = partial
-        self.cause = cause
 
 
 def average_forcing(forcing, n: int, time_grid: TimeGrid, mesh: StructuredMesh) -> np.ndarray:

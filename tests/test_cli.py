@@ -4,9 +4,10 @@ import re
 import warnings
 
 import numpy as np
+import pytest
 from shallowice import __version__, build_mesh, write_snapshot
 from shallowice.cli import cli
-from shallowice.config import load_config, parse_config
+from shallowice.config import ConfigError, load_config, parse_config
 from shallowice.physics import PhysicalRangeWarning
 
 
@@ -220,6 +221,24 @@ def test_unusable_output_directory_stops_before_the_solve(tmp_path, capsys, monk
     assert cli(["sweep", str(cfg), "--kappas", "1e-2,1e-3"]) == 2
     err = capsys.readouterr().err
     assert "kappa_0.001" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, values, literal", [
+    ("time", {"T": float("inf"), "N": 3}, "Infinity"),
+    ("forcing", {"preset": "constant", "value": float("nan")}, "NaN"),
+    ("domain", {"Lx": float("inf"), "Ly": 1.0, "nx": 7, "ny": 7}, "Infinity"),
+])
+def test_nonfinite_literal_is_a_config_error(tmp_path, capsys, section, values, literal):
+    # json.dumps writes these literals, which are not JSON; unchecked, they
+    # ran with a NaN monitor, failed in the solver or ended in a traceback
+    cfg = write_config(tmp_path / "nonfinite.json", tmp_path / "out", **{section: values})
+    assert literal in cfg.read_text(encoding="utf-8")
+    with pytest.raises(ConfigError, match=literal):
+        parse_config(cfg.read_text(encoding="utf-8"))
+    assert cli(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

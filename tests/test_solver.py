@@ -210,6 +210,43 @@ def test_inner_solve_truncates_on_nonpositive_curvature():
     assert rhs @ got > 0
 
 
+def test_inner_solve_nonfinite_curvature_raises():
+    rhs = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(NumericalBreakdown, match="non-finite curvature in inner solve"):
+        inner_linear_solve(lambda w: np.full_like(w, np.nan), rhs, np.ones(3), 1e-8, 50)
+
+
+@pytest.mark.parametrize("direction, message", [
+    (np.zeros_like, "no descent direction at residual"),
+    (lambda rhs: 1e15 * rhs / np.linalg.norm(rhs), "line search failed at residual"),
+])
+def test_step_fails_without_a_usable_direction(monkeypatch, mesh5, direction, message):
+    # an inner solve that returns no descent direction, or one too long for
+    # every backtrack of the line search, fails the step
+    import shallowice.solver as solver
+
+    monkeypatch.setattr(solver, "inner_linear_solve",
+                        lambda action, rhs, diag, cg_tol, cg_max: direction(rhs))
+    with pytest.raises(NonConvergence, match=message) as err:
+        solve_step(make_problem(mesh5, seed=35))
+    assert len(err.value.residual_history) == 1
+    assert err.value.residual_history[0] > SolverConfig().tol_residual
+
+
+def test_run_wraps_a_step_failure_in_march_error(monkeypatch, mesh5):
+    import shallowice.solver as solver
+
+    monkeypatch.setattr(solver, "inner_linear_solve",
+                        lambda action, rhs, diag, cg_tol, cg_max: np.zeros_like(rhs))
+    H0 = initial_thickness_field("dome", 1.0, mesh5)
+    params = make_params(mesh5, 3.0, MeltForcing(-2.0), H0=H0, mu=1.0)
+    with pytest.raises(MarchError, match="failed at step 0: no descent direction") as err:
+        run(mesh5, params, TimeGrid(1.0, 4), 1e-3)
+    assert err.value.step_index == 0
+    assert isinstance(err.value.__cause__, NonConvergence)
+    assert len(err.value.partial.states) == 1
+
+
 def test_nonconvergence_reports_history(mesh5):
     # the history starts at the residual of the chosen start: the warm
     # start, and under strong melt the nodal minimizer
@@ -450,6 +487,14 @@ def test_p15_small_kappa_dome_melt_march_converges_at_129():
 def test_p2_dome_melt_march_converges_at_65():
     # every step has a unique minimizer, so the cap is a solver defect
     assert_dome_melt_march_converges(2.0, 1e-3, 20, nx=65)
+
+
+@pytest.mark.xfail(strict=True, raises=MarchError,
+                   reason="Newton hits its iteration cap at step 1 at residual 4.8e-2")
+def test_p15_eps0_small_kappa_dome_melt_march_converges_at_65():
+    # eps = 0 leaves the power slope unbounded at u = 0; every step still
+    # has a unique minimizer, so the cap is a solver defect
+    assert_dome_melt_march_converges(1.5, 1e-6, 20, eps=0.0, nx=65)
 
 
 def test_start_choice_never_costs_newton_iterations(monkeypatch):
