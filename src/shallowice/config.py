@@ -9,7 +9,9 @@ beside its output.
 
 FORCING_CLASSES maps each forcing preset but gridded to its dataclass,
 whose fields are the preset's numeric keys; FORCING_CHECKS holds the range
-checks of some fields.  Only gridded, a CSV file, has code of its own.
+checks of some fields.  Every file a config names (physics.mu, forcing.csv
+of the gridded preset, initial.csv) goes through _read_named_file, so each
+one that cannot be read or used is a configuration error of its field.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from . import forcing as forcing_mod
 from .mesh import StructuredMesh, build_mesh
 from .operators import DEFAULT_DELTA, DEFAULT_EPS
 from .physics import PhysicalParams, make_params
+from .snapshots import read_field_csv
 from .solver import SolverConfig
 from .timestep import TimeGrid
 
@@ -57,14 +60,11 @@ class ValidationError(ConfigError):
 
     def __init__(self, fieldname: str, constraint: str):
         super().__init__(f"{fieldname}: {constraint}")
-        self.fieldname = fieldname
-        self.constraint = constraint
 
 
 class MissingField(ConfigError):
     def __init__(self, fieldname: str):
         super().__init__(f"missing required field {fieldname!r}")
-        self.fieldname = fieldname
 
 
 FORCING_CLASSES = {
@@ -288,30 +288,45 @@ def initial_thickness_field(kind: str, amplitude: float, mesh: StructuredMesh) -
     raise ValidationError("initial.preset", f"must be one of {INITIAL_PRESETS}")
 
 
-def _build_forcing(spec: dict, base_dir: Path, mesh: StructuredMesh, T: float):
-    preset = spec["preset"]
-    if preset != "gridded":
-        return FORCING_CLASSES[preset](
-            **{key: value for key, value in spec.items() if key != "preset"})
-    path = base_dir / spec["csv"]
+def _read_named_file(fieldname: str, path: Path, reader, *args):
+    """Return reader(path, *args), the content of the file config field
+    fieldname names.
+
+    The reader raises OSError when the file cannot be read and ValueError
+    when its content cannot be used (shape, finiteness, sign, boundary,
+    node count); either is a ValidationError of the field.
+    """
     try:
-        table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        forcing = forcing_mod.GriddedForcing(table[:, 0], table[:, 1:])
+        return reader(path, *args)
     except OSError as err:
-        raise ValidationError("forcing.csv", f"cannot read {path}: {err}")
+        raise ValidationError(fieldname, f"cannot read {path}: {err}") from err
     except ValueError as err:
-        raise ValidationError("forcing.csv", f"malformed {path}: {err}")
-    if not np.isfinite(table).all():
-        raise ValidationError("forcing.csv", f"malformed {path}: values must be finite")
+        raise ValidationError(fieldname, f"malformed {path}: {err}") from err
+
+
+def _read_mu(path: Path, mesh: StructuredMesh) -> np.ndarray:
+    mu = np.loadtxt(path, comments="#")
+    if mu.shape != (mesh.n_triangles,):
+        raise ValueError(f"needs {mesh.n_triangles} per-triangle values, got {mu.shape}")
+    if not np.all(np.isfinite(mu) & (mu > 0)):
+        raise ValueError("values must be finite and positive")
+    return mu
+
+
+def _read_gridded(path: Path, mesh: StructuredMesh, T: float):
+    table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    forcing = forcing_mod.GriddedForcing(table[:, 0], table[:, 1:])
     if forcing.values.shape[1] != mesh.n_nodes:
-        raise ValidationError("forcing.csv", f"malformed {path}: needs "
-                              f"{mesh.n_nodes} nodal values after the time")
-    try:
-        forcing.check_cover(0.0, T)
-    except ValueError as err:
-        raise ValidationError("forcing.csv", f"{path} does not cover the "
-                              f"run [0, {T}]: {err}")
+        raise ValueError(f"needs {mesh.n_nodes} nodal values after the time")
+    forcing.check_cover(0.0, T)
     return forcing
+
+
+def _read_thickness(path: Path, mesh: StructuredMesh) -> np.ndarray:
+    H0 = read_field_csv(path, mesh)
+    if not (np.isfinite(H0).all() and np.all(H0 >= 0) and np.all(H0[mesh.boundary_mask] == 0)):
+        raise ValueError("thickness must be finite, nonnegative and 0 on the boundary")
+    return H0
 
 
 @dataclass
@@ -332,8 +347,9 @@ def build_setup(config: dict, base_dir=".") -> RunSetup:
     """Construct mesh, parameters, grid, and solver objects from a config.
 
     Relative file paths (per-triangle mu, gridded forcing, initial CSV)
-    resolve against base_dir.  The initial CSV is read as thickness and
-    converted through the power transform, like the presets.
+    resolve against base_dir and are read by _read_named_file.  A gridded
+    series must cover the run [0, T].  The initial CSV is read as thickness
+    and converted through the power transform, like the presets.
     """
     base_dir = Path(base_dir)
     domain, physics, penalty = config["domain"], config["physics"], config["penalty"]
@@ -342,40 +358,19 @@ def build_setup(config: dict, base_dir=".") -> RunSetup:
 
     mu = physics["mu"]
     if isinstance(mu, str):
-        path = base_dir / mu
-        try:
-            mu = np.loadtxt(path, comments="#")
-        except OSError as err:
-            raise ValidationError("physics.mu", f"cannot read {path}: {err}")
-        except ValueError as err:
-            raise ValidationError("physics.mu", f"malformed {path}: {err}")
-        if mu.shape != (mesh.n_triangles,):
-            raise ValidationError(
-                "physics.mu",
-                f"needs {mesh.n_triangles} per-triangle values, got {mu.shape}",
-            )
-        if not np.all(np.isfinite(mu) & (mu > 0)):
-            raise ValidationError("physics.mu",
-                                  f"malformed {path}: values must be finite and positive")
+        mu = _read_named_file("physics.mu", base_dir / mu, _read_mu, mesh)
 
-    forcing = _build_forcing(config["forcing"], base_dir, mesh, time_grid.T)
+    spec = config["forcing"]
+    if spec["preset"] == "gridded":
+        forcing = _read_named_file("forcing.csv", base_dir / spec["csv"], _read_gridded,
+                                  mesh, time_grid.T)
+    else:
+        forcing = FORCING_CLASSES[spec["preset"]](
+            **{key: value for key, value in spec.items() if key != "preset"})
 
     initial = config["initial"]
     if "csv" in initial:
-        from .snapshots import read_field_csv
-
-        path = base_dir / initial["csv"]
-        try:
-            H0 = read_field_csv(path, mesh)
-        except OSError as err:
-            raise ValidationError("initial.csv", f"cannot read {path}: {err}")
-        except ValueError as err:
-            raise ValidationError("initial.csv", f"malformed {path}: {err}")
-        if np.any(H0 < 0):
-            raise ValidationError("initial.csv", "thickness must be nonnegative")
-        if not np.isfinite(H0).all() or np.any(H0[mesh.boundary_mask] != 0):
-            raise ValidationError("initial.csv", f"malformed {path}: thickness must "
-                                  "be finite and 0 on the boundary")
+        H0 = _read_named_file("initial.csv", base_dir / initial["csv"], _read_thickness, mesh)
     else:
         H0 = initial_thickness_field(initial["preset"], initial["amplitude"], mesh)
 

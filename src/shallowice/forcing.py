@@ -1,7 +1,10 @@
 """Source-term specifications and their time-slab averages.
 
 The scheme consumes the exact average of the forcing over each time slab.
-Polynomial-in-time presets integrate in closed form; everything else uses
+Polynomial-in-time presets integrate in closed form.  A gridded series,
+piecewise linear in time, integrates exactly by one trapezoid rule over the
+slab's ends and the samples strictly inside it, so a long series costs one
+search and one weighted sum of rows per slab.  Everything else uses
 two-point Gauss quadrature in time, which is exact through cubics.  A
 forcing object only evaluates; a run's forcing is described by the
 `forcing` section of its config.
@@ -98,8 +101,8 @@ class MeltForcing:
 class GriddedForcing:
     """Nodal time series, piecewise linear in t; slab averages are exact.
 
-    times must be strictly increasing and cover every slab queried; values
-    has one row of nodal samples per time.
+    times must be finite and strictly increasing and cover every slab
+    queried; values has one finite row of nodal samples per time.
     """
 
     def __init__(self, times, values):
@@ -107,39 +110,34 @@ class GriddedForcing:
         self.values = np.asarray(values, dtype=float)
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("need at least two time samples")
+        if not (np.isfinite(self.times).all() and np.isfinite(self.values).all()):
+            raise ValueError("times and values must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("time samples must be strictly increasing")
         if self.values.shape[0] != self.times.size:
             raise ValueError("values must have one row per time sample")
 
-    def evaluate(self, mesh, t):
-        self.check_cover(t, t)
-        k = np.searchsorted(self.times, t, side="right") - 1
-        k = min(max(k, 0), self.times.size - 2)
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-
     def check_cover(self, t0, t1):
         if t0 < self.times[0] - 1e-12 or t1 > self.times[-1] + 1e-12:
             raise ValueError(
-                f"slab [{t0}, {t1}] outside the sampled range "
-                f"[{self.times[0]}, {self.times[-1]}]"
+                f"the series on [{self.times[0]}, {self.times[-1]}] "
+                f"does not cover [{t0}, {t1}]"
             )
 
     def slab_average(self, mesh, t0, t1):
         self.check_cover(t0, t1)
-        # integrate the piecewise-linear interpolant exactly: trapezoid on
-        # every breakpoint interval clipped to [t0, t1]
-        knots = self.times
-        total = np.zeros(self.values.shape[1])
-        for k in range(knots.size - 1):
-            a, b = max(knots[k], t0), min(knots[k + 1], t1)
-            if b <= a:
-                continue
-            va = self.evaluate(mesh, a)
-            vb = self.evaluate(mesh, b)
-            total += 0.5 * (va + vb) * (b - a)
-        return total / (t1 - t0)
+        # the exact integral of the interpolant over the slab clipped to the
+        # samples: ends lie in intervals k, the samples times[lo:hi] between
+        # them (one equal to the right end adds a zero-width trapezoid)
+        times, values = self.times, self.values
+        ends = np.array([max(t0, times[0]), min(t1, times[-1])])
+        k = np.clip(np.searchsorted(times, ends, side="right") - 1, 0, times.size - 2)
+        lo, hi = k + 1
+        w = ((ends - times[k]) / (times[k + 1] - times[k]))[:, None]
+        va, vb = (1.0 - w) * values[k] + w * values[k + 1]
+        half = 0.5 * np.diff(np.concatenate((ends[:1], times[lo:hi], ends[1:])))
+        inside = (half[:-1] + half[1:]) @ values[lo:hi]
+        return (half[0] * va + inside + half[-1] * vb) / (t1 - t0)
 
 
 class CallableForcing:

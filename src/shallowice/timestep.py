@@ -44,10 +44,14 @@ class TimeGrid:
         return self.T / self.N
 
     def slab(self, n: int) -> tuple[float, float]:
-        """Endpoints (n ell, (n+1) ell) of slab n."""
+        """Endpoints (n ell, (n+1) ell) of slab n; the last one ends at T.
+
+        N ell can round above T (T = 1e5, N = 19), past the end of a
+        forcing series sampled on exactly [0, T].
+        """
         if not 0 <= n < self.N:
             raise IndexError(f"slab index {n} out of range [0, {self.N})")
-        return n * self.ell, (n + 1) * self.ell
+        return n * self.ell, self.T if n == self.N - 1 else (n + 1) * self.ell
 
 
 @dataclass

@@ -158,9 +158,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     (tmp_path / "ragged.csv").write_text("0.0,1.0,2.0\n1.0,1.0\n", encoding="utf-8")
     (tmp_path / "nodes.csv").write_text("0.0,1.0,2.0\n1.0,1.0,2.0\n", encoding="utf-8")
     # parse, but are not usable values: a mu <= 0, a thickness that is
-    # nonzero on the boundary, a NaN forcing sample
+    # nonzero on the boundary or negative inside, a NaN forcing sample
     (tmp_path / "mu_zero.txt").write_text("0.1\n" * 71 + "0.0\n", encoding="utf-8")
-    write_snapshot(np.ones(49), build_mesh(7, 7, 1.0, 1.0), tmp_path / "edge.csv", "csv")
+    mesh = build_mesh(7, 7, 1.0, 1.0)
+    write_snapshot(np.ones(49), mesh, tmp_path / "edge.csv", "csv")
+    write_snapshot(np.where(mesh.boundary_mask, 0.0, -1.0), mesh,
+                   tmp_path / "negative.csv", "csv")
     # and a valid thickness of another 7x7 grid, whose rows name other nodes
     elsewhere = build_mesh(7, 7, 1.0, 2.0)
     write_snapshot(np.where(elsewhere.boundary_mask, 0.0, 1.0), elsewhere,
@@ -177,6 +180,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("physics.mu", {"physics": {"p": 3.0, "rho_g": 3.0, "A_const": 1.0,
                                     "mu": "mu_zero.txt"}}),
         ("initial.csv", {"initial": {"csv": "edge.csv"}}),
+        ("initial.csv", {"initial": {"csv": "negative.csv"}}),
         ("initial.csv", {"initial": {"csv": "elsewhere.csv"}}),
         ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "nan.csv"}}),
     ]
@@ -195,6 +199,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert cli(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "configuration error: forcing.csv:" in err and "does not cover" in err
+
+
+def test_gridded_run_on_exactly_the_sampled_range(tmp_path, capsys):
+    # 19 ell rounds above T = 1e5; the last slab must still end at the last
+    # sample of a series on exactly [0, 1e5]
+    times = np.array([0.0, 2.5e4, 1e5])
+    np.savetxt(tmp_path / "melt.csv",
+               np.column_stack([times, np.outer([0.0, -1e-4, -2e-4], np.ones(49))]),
+               delimiter=",")
+    cfg = write_config(tmp_path / "run.json", tmp_path / "out",
+                       time={"T": 1e5, "N": 19},
+                       forcing={"preset": "gridded", "csv": "melt.csv"},
+                       initial={"preset": "dome", "amplitude": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["run", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "u_000019.csv").exists()
 
 
 def test_unusable_output_directory_stops_before_the_solve(tmp_path, capsys, monkeypatch):

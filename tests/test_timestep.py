@@ -16,7 +16,7 @@ from shallowice import (
     solve_step,
     step_residual,
 )
-from shallowice.forcing import CallableForcing, LinearForcing
+from shallowice.forcing import CallableForcing, GriddedForcing, LinearForcing
 
 
 def dome_params(mesh, forcing=None, amp=1.0, mu=0.05):
@@ -35,6 +35,48 @@ def test_time_grid_validation():
         TimeGrid(1.0, 0)
     with pytest.raises(IndexError):
         grid.slab(8)
+
+
+def test_last_slab_ends_at_T():
+    # 18 ell + ell rounds to 100000.00000000001, past a forcing series
+    # sampled on exactly [0, 1e5]
+    grid = TimeGrid(1e5, 19)
+    assert 19 * grid.ell > 1e5
+    assert grid.slab(18) == (18 * grid.ell, 1e5)
+    assert grid.slab(17)[1] == grid.slab(18)[0]
+
+
+# a series on [0, 1e5] with 99 samples at random times in between
+GRID_TIMES = np.concatenate(
+    ([0.0], np.sort(np.random.default_rng(5).uniform(0.0, 1e5, 99)), [1e5]))
+GRID_VALUES = np.random.default_rng(6).uniform(-1.0, 2.0, (GRID_TIMES.size, 25))
+
+
+def _between(k, w):
+    return GRID_TIMES[k] + w * (GRID_TIMES[k + 1] - GRID_TIMES[k])
+
+
+def _interpolant_integral(t):
+    """Integral over [0, t] of the piecewise-linear interpolant, per node:
+    whole trapezoids up to the sample below t, then the part up to t."""
+    whole = np.cumsum(0.5 * np.diff(GRID_TIMES)[:, None]
+                      * (GRID_VALUES[1:] + GRID_VALUES[:-1]), axis=0)
+    k = min(int(np.searchsorted(GRID_TIMES, t, side="right")) - 1, GRID_TIMES.size - 2)
+    at_t = np.array([np.interp(t, GRID_TIMES, column) for column in GRID_VALUES.T])
+    below = whole[k - 1] if k else 0.0
+    return below + 0.5 * (t - GRID_TIMES[k]) * (GRID_VALUES[k] + at_t)
+
+
+@pytest.mark.parametrize("t0, t1", [
+    (_between(30, 0.25), _between(30, 0.75)),
+    (_between(3, 0.5), _between(90, 0.3)),
+    (GRID_TIMES[10], GRID_TIMES[60]),
+    (0.0, 1e5),
+], ids=["inside-one-interval", "across-many-samples", "on-samples", "1e5-long"])
+def test_gridded_slab_average_is_exact(mesh5, t0, t1):
+    avg = GriddedForcing(GRID_TIMES, GRID_VALUES).slab_average(mesh5, t0, t1)
+    exact = (_interpolant_integral(t1) - _interpolant_integral(t0)) / (t1 - t0)
+    assert np.allclose(avg, exact, rtol=1e-12, atol=1e-12)
 
 
 def test_average_forcing_constant(mesh5):

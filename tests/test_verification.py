@@ -7,6 +7,7 @@ from shallowice.verification import (
     MmsTable,
     brute_force_step_oracle,
     lemma_inequality_suite,
+    mms_convergence,
     mms_error,
     mms_forcing,
 )
@@ -105,6 +106,30 @@ def test_mms_temporal_first_order():
             for N in (10, 20, 40)}
     orders = [np.log2(errs[10] / errs[20]), np.log2(errs[20] / errs[40])]
     assert all(0.7 <= o <= 1.3 for o in orders)
+
+
+def test_mms_convergence_marches_each_pair_once(monkeypatch):
+    # by default the spatial rows run at the largest N, so the finest mesh at
+    # that N is a row of both studies; it is marched once
+    import shallowice.verification as verification
+
+    case = MmsCase(amp=1.0, g0=1.0, g1=1.0, T=0.25)
+    marched = []
+    real_run = verification.run
+
+    def counted_run(mesh, params, grid, *args, **kwargs):
+        marched.append((mesh.nx, grid.N))
+        return real_run(mesh, params, grid, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "run", counted_run)
+    table = mms_convergence(case, 3.0, 1.0, [9, 5], [4, 2], 1e-4)
+    assert sorted(marched) == [(5, 4), (9, 2), (9, 4)]
+
+    def error(nx, N):
+        return mms_error(case, build_mesh(nx, nx, 1.0, 1.0), 3.0, 1.0, N, 1e-4)
+
+    assert table.temporal == [(2, error(9, 2)), (4, error(9, 4))]
+    assert table.spatial == [(5, error(5, 4)), (9, error(9, 4))]
 
 
 def test_mms_table_derives_orders():
