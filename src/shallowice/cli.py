@@ -283,6 +283,9 @@ def _cmd_monitors(args) -> int:
         grid = TimeGrid(config["time"]["T"], config["time"]["N"])
         p, kappa, delta, eps = (config["physics"]["p"], pen["kappa"],
                                 pen["delta"], pen["eps"])
+        # the monitors divide by kappa; the file may have been edited
+        if type(kappa) not in (int, float) or not 0 < kappa <= sys.float_info.max:
+            raise ValueError(f"penalty.kappa must be a finite positive number, got {kappa!r}")
     except (ValueError, KeyError, TypeError) as err:
         raise ConfigError(f"{outdir}: cannot read the saved run: {err!r}") from err
     if len(states) != grid.N + 1 or any(u.shape != (mesh.n_nodes,) for u in states):

@@ -2,10 +2,11 @@
 
 A configuration is the plain dict of the validated JSON document, with
 every optional field filled in.  All physics must be spelled out; defaults
-exist only for solver knobs, regularizations, and output options.  Unknown
-keys are errors, so typos cannot silently change a run.  This dict, with
-the package version, is the whole description of a run that the CLI saves
-beside its output.
+exist only for the solver tolerance, regularizations, and output options.
+Unknown keys are errors, so typos cannot silently change a run, and every
+number must be finite, so neither can a numeral that overflows to
+infinity.  This dict, with the package version, is the whole description
+of a run that the CLI saves beside its output.
 
 FORCING_CLASSES maps each forcing preset but gridded to its dataclass,
 whose fields are the preset's numeric keys; FORCING_CHECKS holds the range
@@ -17,6 +18,7 @@ one that cannot be read or used is a configuration error of its field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -111,6 +113,10 @@ class _Section:
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValidationError(self._field(key), "must be a number")
+            # json.loads reads a numeral such as 1e999 as inf; an integer
+            # numeral past the float range compares above its maximum too
+            if not abs(value) <= sys.float_info.max:
+                raise ValidationError(self._field(key), "must be a finite number")
             value = float(value)
         elif kind is int:
             if isinstance(value, bool) or not isinstance(value, int):
@@ -145,15 +151,14 @@ def parse_config(text: str) -> dict:
 
     Sections: domain {Lx, Ly, nx, ny}; time {T, N}; physics {p, rho_g,
     A_const, mu?}; penalty {kappa, delta?, eps?}; forcing {preset, ...};
-    initial {preset, amplitude} or {csv}; solver {tol_residual?,
-    max_newton?, cg_tol?}; output {directory?, stride?, formats?}.
-    Solver, regularization, and output fields have defaults; everything
-    physical is required.  solver.cg_tol is the tightest relative residual
-    of the inner solve, which each Newton iterate loosens to its forcing
-    term, at most the solver module's ETA_MAX.  The returned dict has
-    every default filled in, so parse_config(json.dumps(config)) == config.
-    The literals NaN, Infinity and -Infinity, which json.loads would take,
-    are rejected.
+    initial {preset, amplitude} or {csv}; solver {tol_residual?}; output
+    {directory?, stride?, formats?}.  Solver, regularization, and output
+    fields have defaults; everything physical is required.  The solver's
+    Newton cap and inner-solve tolerances are constants of the solver
+    module, not keys of the solver section.  The returned dict has every
+    default filled in, so parse_config(json.dumps(config)) == config.  The
+    literals NaN, Infinity and -Infinity, which json.loads would take, are
+    rejected, and so is a numeral that overflows to infinity, such as 1e999.
     """
     try:
         raw = json.loads(text, parse_constant=_reject_constant)
@@ -232,14 +237,9 @@ def parse_config(text: str) -> dict:
     init.reject_unknown()
 
     sol = _Section("solver", top.optional("solver", dict, {}))
-    defaults = SolverConfig()
     solver = {
-        "tol_residual": sol.optional("tol_residual", float, defaults.tol_residual,
+        "tol_residual": sol.optional("tol_residual", float, SolverConfig.tol_residual,
                                      lambda v: v > 0, "must be positive"),
-        "max_newton": sol.optional("max_newton", int, defaults.max_newton,
-                                   lambda v: v >= 1, "must be at least 1"),
-        "cg_tol": sol.optional("cg_tol", float, defaults.cg_tol,
-                               lambda v: v > 0, "must be positive"),
     }
     sol.reject_unknown()
 

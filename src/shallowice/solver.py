@@ -15,21 +15,23 @@ symmetric (4, n) stencil rows, with the Dirichlet entries masked out.  A
 Jacobi-preconditioned truncated conjugate-gradient solve, applying the
 rows by shifted slices, gives a descent direction.  The solve is inexact
 (Dembo, Eisenstat & Steihaug 1982): iterate k stops at the relative
-residual eta_k = max(cg_tol, min(ETA_MAX, max(0.9 (|F_k| / |F_k-1|)^2,
+residual eta_k = max(ETA_MIN, min(ETA_MAX, max(0.9 (|F_k| / |F_k-1|)^2,
 0.1 tol_residual / res_k))), Eisenstat & Walker's (1996) choice 2 with
 gamma = 0.9, where F_k is the residual vector and res_k its scaled
-max-norm.  The first iterate has no ratio term, so it solves to cg_tol
-unless its start is already close to the tolerance; the floor keeps the
-last iterate from oversolving, and the cap ETA_MAX = 1e-3 keeps the Newton
-counts of exact solves.  One backtracking line search on the step energy
-accepts the trial point by an Armijo decrease or, once the energy
-decrement sinks below roundoff, by a measurable drop of the residual.  A
-line search that finds no such point raises NonConvergence.  Every point,
-the start and each trial, is evaluated once: evaluate returns its energy,
-residual, gradient state and nodal slope together, the solver carries the
-accepted StepPoint, and linearize reuses that point's gradient state and
-nodal slope.  A step costs 2 + iterations + backtracks evaluations, or 1
-when the guess meets the tolerance.
+max-norm.  The first iterate has no ratio term, so it solves to ETA_MIN =
+1e-6 unless its start is already close to the tolerance; the floor
+0.1 tol_residual / res_k keeps the last iterate from oversolving, and the
+cap ETA_MAX = 1e-3 keeps the Newton counts of exact solves.  One
+backtracking line search on the step energy accepts the trial point by an
+Armijo decrease or, once the energy decrement sinks below roundoff, by a
+measurable drop of the residual.  A line search that finds no such point
+raises NonConvergence.  Every point, the start and each trial, is
+evaluated once: evaluate returns its energy, residual, gradient state and
+nodal slope together, the solver carries the accepted StepPoint, and
+linearize reuses that point's gradient state and nodal slope.  A step
+costs 2 + iterations + backtracks evaluations, or 1 when the guess meets
+the tolerance.  Every step has one minimizer, so the cap of MAX_NEWTON =
+60 iterates is not a setting: a step that hits it is a solver defect.
 """
 
 from __future__ import annotations
@@ -58,11 +60,13 @@ __all__ = [
     "solve_step",
 ]
 
-# fixed line-search and inner-solve controls; ETA_MAX caps the forcing
-# term, the relative tolerance of an inexact inner solve
+# fixed Newton, line-search and inner-solve controls; the forcing term,
+# the relative tolerance of an inexact inner solve, lies in [ETA_MIN, ETA_MAX]
 ARMIJO_C = 1e-4
+ETA_MIN = 1e-6
 ETA_MAX = 1e-3
 MAX_BACKTRACK = 40
+MAX_NEWTON = 60
 CG_MAX = 1500
 
 
@@ -88,28 +92,19 @@ class NumericalBreakdown(SolverError):
 
 @dataclass
 class SolverConfig:
-    """Tolerances and caps for solve_step.
+    """The one setting of solve_step.
 
-    tol_residual bounds the mass-scaled residual max-norm max_i |F_i|/m_i,
-    max_newton caps the Newton iterates of one step and cg_tol is the
-    tightest relative residual of the inner solve: each iterate stops at
-    its forcing term, which lies between cg_tol and ETA_MAX, so cg_tol >=
-    ETA_MAX is the tolerance of every inner solve.  The Armijo constant,
-    the forcing-term cap and the backtrack and CG caps are the fixed
-    module constants above.
+    tol_residual bounds the mass-scaled residual max-norm max_i |F_i|/m_i
+    that a step must reach.  The Newton cap, the forcing-term bounds, the
+    Armijo constant and the backtrack and CG caps are the fixed module
+    constants above.
     """
 
     tol_residual: float = 1e-10
-    max_newton: int = 60
-    cg_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.tol_residual > 0:
-            raise ValueError("tol_residual must be positive")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
-        if not self.cg_tol > 0:
-            raise ValueError("cg_tol must be positive")
+        if not 0.0 < self.tol_residual < np.inf:
+            raise ValueError("tol_residual must be positive and finite")
 
 
 @dataclass
@@ -124,12 +119,12 @@ class StepResult:
 
 
 def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
-                       cg_tol: float, cg_max: int) -> np.ndarray:
+                       rtol: float, cg_max: int) -> np.ndarray:
     """Truncated conjugate gradients with diagonal preconditioning.
 
     The operator enters only through action(w), its product with w.
 
-    Returns w once r = rhs - A w has r . r <= (cg_tol ||rhs||)^2, else the
+    Returns w once r = rhs - A w has r . r <= (rtol ||rhs||)^2, else the
     last of cg_max iterates (inexact directions are still useful to the
     outer Newton loop).  On nonpositive curvature it stops and returns the
     current iterate, or the preconditioned residual rhs / diag if that
@@ -142,7 +137,7 @@ def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return x
-    stop = (cg_tol * rhs_norm) ** 2
+    stop = (rtol * rhs_norm) ** 2
     inv_diag = 1.0 / diag
     z = r * inv_diag
     pvec = z.copy()
@@ -216,9 +211,9 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
             raise NumericalBreakdown(
                 "non-finite residual", node=_first_bad_node(point.residual, point.u)
             )
-        if iterations >= cfg.max_newton:
+        if iterations >= MAX_NEWTON:
             raise NonConvergence(
-                f"no convergence in {cfg.max_newton} Newton iterations "
+                f"no convergence in {MAX_NEWTON} Newton iterations "
                 f"(residual {res:.3e})",
                 residual_history=history,
             )
@@ -233,7 +228,7 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
         jac = linearize(problem, point)
         direction = inner_linear_solve(
             lambda w: step_jacobian_action(jac, w),
-            -point.residual, jac.diag, max(cfg.cg_tol, min(ETA_MAX, eta)), CG_MAX,
+            -point.residual, jac.diag, max(ETA_MIN, min(ETA_MAX, eta)), CG_MAX,
         )
         slope = float(point.residual @ direction)
         if not slope < 0.0:

@@ -242,7 +242,7 @@ def test_criterion_8_stability_condition(melt_sweep, dome_records):
 
 def test_criterion_9_mms_convergence():
     case = MmsCase(amp=1.0, g0=1.0, g1=1.0, Lx=1.0, Ly=1.0, T=0.5)
-    cfg = SolverConfig(tol_residual=1e-8, cg_tol=1e-5)
+    cfg = SolverConfig(tol_residual=1e-8)
     table = mms_convergence(case, 3.0, 1.0, [17, 33, 65], [10, 20], 1e-4, cfg,
                             spatial_N=80)
     orders_ok = all(0.7 <= o <= 1.3 for o in table.temporal_orders)

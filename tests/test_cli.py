@@ -120,7 +120,7 @@ def test_vtk_title_names_a_long_config(tmp_path):
                        initial={"preset": "dome", "amplitude": 0.8},
                        forcing={"preset": "melt", "rate": -0.5},
                        penalty={"kappa": 1e-3, "delta": 1e-7, "eps": 1e-9},
-                       solver={"tol_residual": 1e-10, "max_newton": 40},
+                       solver={"tol_residual": 1e-10},
                        output={"directory": str(tmp_path / "out" / ("long_name_" * 12)),
                                "stride": 2, "formats": ["vtk"]})
     assert cli(["run", str(cfg)]) == 0
@@ -263,12 +263,44 @@ def test_nonfinite_literal_is_a_config_error(tmp_path, capsys, section, values, 
     assert not (tmp_path / "out").exists()
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("section, key, numeral", [
+    ("solver", "tol_residual", "1e999"),
+    ("time", "T", "1e999"),
+    ("penalty", "kappa", "1e999"),
+    ("penalty", "delta", "1e999"),
+    ("forcing", "rate", "-1e999"),
+    ("physics", "p", "1e999"),
+    ("domain", "Lx", "1e999"),
+    ("initial", "amplitude", "1e999"),
+    pytest.param("domain", "Ly", "1" + "0" * 400, id="domain-Ly-400-digit-integer"),
+])
+def test_overflowing_numeral_is_a_config_error(tmp_path, capsys, section, key, numeral):
+    # json.loads reads 1e999 as inf without calling parse_constant; unchecked,
+    # it ran a run of unchanged states, failed in the solver or ended in a
+    # traceback
+    cfg = write_config(tmp_path / "overflow.json", tmp_path / "out",
+                       forcing={"preset": "melt", "rate": -0.5},
+                       initial={"preset": "dome", "amplitude": 0.8},
+                       solver={"tol_residual": 1e-10})
+    doc = json.loads(cfg.read_text(encoding="utf-8"))
+    doc[section][key] = "@"
+    cfg.write_text(json.dumps(doc).replace('"@"', numeral), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{section}.{key}: must be a finite number"):
+        parse_config(cfg.read_text(encoding="utf-8"))
+    assert cli(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solver_failure_exit_code(monkeypatch, tmp_path, capsys):
+    import shallowice.solver as solver
+
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
     cfg = write_config(
         tmp_path / "hard.json", tmp_path / "out",
         initial={"preset": "dome", "amplitude": 1.0},
         forcing={"preset": "melt", "rate": -5.0},
-        solver={"max_newton": 1},
     )
     assert cli(["run", str(cfg)]) == 1
     assert "failed at step" in capsys.readouterr().err
@@ -392,12 +424,33 @@ def test_monitors_recompute(tmp_path):
         forcing={"preset": "melt", "rate": -0.5},
         forcing_quadrature="exact",
     )
+    # and configs saved before the Newton cap and the inner-solve tolerance
+    # became solver constants carry those keys
+    meta["config"]["solver"].update(cg_tol=1e-6, max_newton=60)
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
     assert cli(["monitors", str(out)]) == 0
     orig = read_monitor_row(out / "monitors.csv")
     redo = read_monitor_row(out / "monitors_recomputed.csv")
     assert orig == redo
     assert cli(["monitors", str(tmp_path / "nothing")]) == 2
+
+
+@pytest.mark.parametrize("kappa", [0, -1.0, "1e-3", float("nan"), float("inf"), True])
+def test_monitors_rejects_a_saved_kappa_that_is_not_a_penalty(tmp_path, capsys, kappa):
+    # a hand-edited run_metadata.json; the monitors divide by kappa, so an
+    # unchecked one ended in a traceback or wrote negative or NaN monitors
+    out = tmp_path / "out"
+    assert cli(["run", str(write_config(tmp_path / "run.json", out))]) == 0
+    meta_path = out / "run_metadata.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["config"]["penalty"]["kappa"] = kappa
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert cli(["monitors", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "penalty.kappa must be a finite positive number" in err
+    assert "Traceback" not in err
+    assert not (out / "monitors_recomputed.csv").exists()
 
 
 def test_monitors_does_not_rewarn_about_the_run(tmp_path):

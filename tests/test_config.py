@@ -198,15 +198,16 @@ def test_forcing_preset_round_trip(tmp_path, spec, expected):
 
 
 def test_solver_overrides():
-    doc = minimal_config(solver={"tol_residual": 1e-8, "max_newton": 10})
+    doc = minimal_config(solver={"tol_residual": 1e-8})
     config = parse_config(json.dumps(doc))
-    assert config["solver"]["tol_residual"] == 1e-8
-    assert config["solver"]["max_newton"] == 10
-    doc = minimal_config(solver={"cg_tol": 0.0})
-    with pytest.raises(ValidationError, match="solver.cg_tol: must be positive"):
+    assert config["solver"] == {"tol_residual": 1e-8}
+    doc = minimal_config(solver={"tol_residual": 0.0})
+    with pytest.raises(ValidationError, match="solver.tol_residual: must be positive"):
         parse_config(json.dumps(doc))
-    # the Armijo constant and the backtrack and CG caps are fixed in the solver
-    for key, value in (("cg_max", 1500), ("max_backtrack", 40), ("armijo_c", 1e-4)):
+    # the Newton cap, the inner-solve tolerance, the Armijo constant and the
+    # backtrack and CG caps are fixed in the solver
+    for key, value in (("cg_max", 1500), ("max_backtrack", 40), ("armijo_c", 1e-4),
+                       ("cg_tol", 1e-6), ("max_newton", 60)):
         doc = minimal_config(solver={key: value})
         with pytest.raises(ValidationError, match=f"solver.{key}: unknown key"):
             parse_config(json.dumps(doc))

@@ -226,7 +226,7 @@ def test_step_fails_without_a_usable_direction(monkeypatch, mesh5, direction, me
     import shallowice.solver as solver
 
     monkeypatch.setattr(solver, "inner_linear_solve",
-                        lambda action, rhs, diag, cg_tol, cg_max: direction(rhs))
+                        lambda action, rhs, diag, rtol, cg_max: direction(rhs))
     with pytest.raises(NonConvergence, match=message) as err:
         solve_step(make_problem(mesh5, seed=35))
     assert len(err.value.residual_history) == 1
@@ -237,7 +237,7 @@ def test_run_wraps_a_step_failure_in_march_error(monkeypatch, mesh5):
     import shallowice.solver as solver
 
     monkeypatch.setattr(solver, "inner_linear_solve",
-                        lambda action, rhs, diag, cg_tol, cg_max: np.zeros_like(rhs))
+                        lambda action, rhs, diag, rtol, cg_max: np.zeros_like(rhs))
     H0 = initial_thickness_field("dome", 1.0, mesh5)
     params = make_params(mesh5, 3.0, MeltForcing(-2.0), H0=H0, mu=1.0)
     with pytest.raises(MarchError, match="failed at step 0: no descent direction") as err:
@@ -247,10 +247,13 @@ def test_run_wraps_a_step_failure_in_march_error(monkeypatch, mesh5):
     assert len(err.value.partial.states) == 1
 
 
-def test_nonconvergence_reports_history(mesh5):
+def test_nonconvergence_reports_history(monkeypatch, mesh5):
     # the history starts at the residual of the chosen start: the warm
     # start, and under strong melt the nodal minimizer
-    cfg = SolverConfig(max_newton=1, tol_residual=1e-14)
+    import shallowice.solver as solver
+
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
+    cfg = SolverConfig(tol_residual=1e-14)
     for a_bar, nodal_wins in ((None, False), (np.full(mesh5.n_nodes, -4.0), True)):
         prob = make_problem(mesh5, seed=32, a_bar=a_bar)
         nodal = nodal_minimizer(prob)
@@ -272,12 +275,9 @@ def test_guess_validation(mesh5):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol_residual=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_newton=0)
-    with pytest.raises(ValueError):
-        SolverConfig(cg_tol=0.0)
+    for tol in (0.0, -1e-10, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(tol_residual=tol)
 
 
 def test_result_residual_matches_recomputation(mesh5):
@@ -341,44 +341,41 @@ def test_solve_step_returns_a_settled_guess_after_one_evaluation(monkeypatch, me
 
 def test_inner_solve_tolerance_follows_the_forcing_rule(monkeypatch, mesh9):
     # each Newton iterate's inner solve stops at the capped forcing term
-    # max(cg_tol, min(ETA_MAX, max(0.9 (|F_k|/|F_k-1|)^2, 0.1 tol/res_k))),
-    # without the ratio at the first iterate; cg_tol >= ETA_MAX is exact
+    # max(ETA_MIN, min(ETA_MAX, max(0.9 (|F_k|/|F_k-1|)^2, 0.1 tol/res_k))),
+    # without the ratio at the first iterate
     import shallowice.solver as solver
 
-    assert solver.ETA_MAX == 1e-3
+    assert (solver.ETA_MIN, solver.ETA_MAX) == (1e-6, 1e-3)
     prob = make_problem(mesh9, seed=1)
     calls = []
 
-    def recorded(action, rhs, diag, cg_tol, cg_max):
-        calls.append((cg_tol, float(np.linalg.norm(rhs)), scaled_residual_norm(prob, -rhs)))
-        return inner_linear_solve(action, rhs, diag, cg_tol, cg_max)
+    def recorded(action, rhs, diag, rtol, cg_max):
+        calls.append((rtol, float(np.linalg.norm(rhs)), scaled_residual_norm(prob, -rhs)))
+        return inner_linear_solve(action, rhs, diag, rtol, cg_max)
 
     monkeypatch.setattr(solver, "inner_linear_solve", recorded)
     exact = solve_step(prob)
     near = exact.u_next + zero_boundary(mesh9, np.full(mesh9.n_nodes, 1e-9))
+    cfg = SolverConfig()
     for guess in (None, near):
-        for cfg in (SolverConfig(), SolverConfig(cg_tol=1e-2)):
-            calls.clear()
-            result = solve_step(prob, cfg, initial_guess=guess)
-            assert len(calls) == result.iterations > 0
-            tol, _, res = calls[0]
-            assert tol == max(cfg.cg_tol, min(1e-3, 0.1 * cfg.tol_residual / res))
-            for (tol, norm, res), (_, prev, _) in zip(calls[1:], calls):
-                eta = max(0.9 * (norm / prev) ** 2, 0.1 * cfg.tol_residual / res)
-                assert tol == max(cfg.cg_tol, min(1e-3, eta))
-            tols = [tol for tol, _, _ in calls]
-            if cfg.cg_tol >= 1e-3:
-                assert tols == [cfg.cg_tol] * len(tols)
-            else:
-                assert all(cfg.cg_tol <= tol <= 1e-3 for tol in tols)
-                assert any(cfg.cg_tol < tol < 1e-3 for tol in tols)
-                # a start close to the tolerance does not solve to cg_tol
-                assert (tols[0] > cfg.cg_tol) == (guess is near)
+        calls.clear()
+        result = solve_step(prob, cfg, initial_guess=guess)
+        assert len(calls) == result.iterations > 0
+        tol, _, res = calls[0]
+        assert tol == max(solver.ETA_MIN, min(1e-3, 0.1 * cfg.tol_residual / res))
+        for (tol, norm, res), (_, prev, _) in zip(calls[1:], calls):
+            eta = max(0.9 * (norm / prev) ** 2, 0.1 * cfg.tol_residual / res)
+            assert tol == max(solver.ETA_MIN, min(1e-3, eta))
+        tols = [tol for tol, _, _ in calls]
+        assert all(solver.ETA_MIN <= tol <= 1e-3 for tol in tols)
+        assert any(solver.ETA_MIN < tol < 1e-3 for tol in tols)
+        # a start close to the tolerance does not solve to ETA_MIN
+        assert (tols[0] > solver.ETA_MIN) == (guess is near)
 
 
 def test_inexact_inner_solves_keep_the_newton_count(monkeypatch):
     # the 33^2 dome under melt: against exact inner solves (ETA_MAX =
-    # cg_tol), the forcing terms cost no Newton iterate, save CG iterations
+    # ETA_MIN), the forcing terms cost no Newton iterate, save CG iterations
     # and move the final state by far less than the tolerance
     import shallowice.solver as solver
 
@@ -388,11 +385,11 @@ def test_inexact_inner_solves_keep_the_newton_count(monkeypatch):
     grid = TimeGrid(2.0, 20)
     cg = [0]
 
-    def counted(action, rhs, diag, cg_tol, cg_max):
+    def counted(action, rhs, diag, rtol, cg_max):
         def counted_action(w):
             cg[0] += 1
             return action(w)
-        return inner_linear_solve(counted_action, rhs, diag, cg_tol, cg_max)
+        return inner_linear_solve(counted_action, rhs, diag, rtol, cg_max)
 
     monkeypatch.setattr(solver, "inner_linear_solve", counted)
 
@@ -402,7 +399,7 @@ def test_inexact_inner_solves_keep_the_newton_count(monkeypatch):
         return sum(d.iterations for d in traj.step_diagnostics), cg[0], traj.states[-1]
 
     newton, cg_inexact, final = march()
-    monkeypatch.setattr(solver, "ETA_MAX", SolverConfig().cg_tol)
+    monkeypatch.setattr(solver, "ETA_MAX", solver.ETA_MIN)
     newton_exact, cg_exact, final_exact = march()
     assert newton <= newton_exact == 44
     assert cg_inexact < cg_exact

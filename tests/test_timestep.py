@@ -144,11 +144,13 @@ def test_run_determinism(mesh5):
         assert np.array_equal(a, b)
 
 
-def test_march_error_carries_partial(mesh9):
+def test_march_error_carries_partial(monkeypatch, mesh9):
+    import shallowice.solver as solver
+
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
     params = dome_params(mesh9, forcing=MeltForcing(-5.0), mu=1.0)
-    cfg = SolverConfig(max_newton=1)
     with pytest.raises(MarchError) as err:
-        run(mesh9, params, TimeGrid(1.0, 4), 1e-3, cfg)
+        run(mesh9, params, TimeGrid(1.0, 4), 1e-3)
     assert err.value.step_index == 0
     assert len(err.value.partial.states) == 1
     assert np.array_equal(err.value.partial.states[0], params.u0)
