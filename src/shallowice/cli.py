@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, build_setup, load_config
+from .config import ConfigError, build_setup, load_config, mesh_allocation_error, parse_config
 from .forcing import ConstantForcing
 from .mesh import build_mesh
 from .monitors import compute_monitors, kappa_sweep
@@ -277,32 +277,40 @@ def _cmd_monitors(args) -> int:
     try:
         meta = read_run_metadata(meta_path)
         states = read_states_csv(states_path)
-        config = meta["config"]
-        dom, pen = config["domain"], config["penalty"]
-        mesh = build_mesh(dom["nx"], dom["ny"], dom["Lx"], dom["Ly"])
-        grid = TimeGrid(config["time"]["T"], config["time"]["N"])
-        p, kappa, delta, eps = (config["physics"]["p"], pen["kappa"],
-                                pen["delta"], pen["eps"])
-        # the monitors divide by kappa; the file may have been edited
-        if type(kappa) not in (int, float) or not 0 < kappa <= sys.float_info.max:
-            raise ValueError(f"penalty.kappa must be a finite positive number, got {kappa!r}")
-    except (ValueError, KeyError, TypeError) as err:
+    except ValueError as err:
         raise ConfigError(f"{outdir}: cannot read the saved run: {err!r}") from err
+    saved = meta.get("config") if isinstance(meta, dict) else None
+    if not isinstance(saved, dict):
+        raise ConfigError(f"{outdir}: run_metadata.json holds no config object")
+    # the rules of run; the monitors read no solver key, and configs saved
+    # before the Newton cap became a constant carry since-removed ones
+    try:
+        config = parse_config({**saved, "solver": {}})
+    except ConfigError as err:
+        raise ConfigError(f"{outdir}: {err}") from err
+    dom, pen = config["domain"], config["penalty"]
+    try:
+        mesh = build_mesh(dom["nx"], dom["ny"], dom["Lx"], dom["Ly"])
+    except (MemoryError, ValueError) as err:
+        raise ConfigError(f"{outdir}: {mesh_allocation_error(dom, err)}") from err
+    grid = TimeGrid(config["time"]["T"], config["time"]["N"])
     if len(states) != grid.N + 1 or any(u.shape != (mesh.n_nodes,) for u in states):
         raise ConfigError(f"{outdir}: states.csv needs {grid.N + 1} rows of "
                           f"{mesh.n_nodes} values, as run_metadata.json says")
     # monitors depend on p but not on the forcing or mu, so those are
-    # placeholders; the run warned about its own inputs when it was made
+    # placeholders; the run gave these two warnings when it was made
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = make_params(mesh, p, ConstantForcing(0.0), u0=states[0], mu=1.0)
+            warnings.filterwarnings("ignore", category=PhysicalRangeWarning)
+            warnings.filterwarnings("ignore", "u0 is identically zero", UserWarning)
+            params = make_params(mesh, config["physics"]["p"], ConstantForcing(0.0),
+                                 u0=states[0], mu=1.0)
     except ValueError as err:
         raise ConfigError(f"{outdir}: the first row of states.csv is not an "
                           f"initial state: {err}") from err
     traj = Trajectory(
         states=states, step_diagnostics=[], time_grid=grid, mesh=mesh,
-        params=params, kappa=kappa, delta=delta, eps=eps,
+        params=params, kappa=pen["kappa"], delta=pen["delta"], eps=pen["eps"],
     )
     record = compute_monitors(traj, traj.kappa)
     write_monitors_csv(record, outdir / "monitors_recomputed.csv", metadata=meta)

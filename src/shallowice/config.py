@@ -6,7 +6,8 @@ exist only for the solver tolerance, regularizations, and output options.
 Unknown keys are errors, so typos cannot silently change a run, and every
 number must be finite, so neither can a numeral that overflows to
 infinity.  This dict, with the package version, is the whole description
-of a run that the CLI saves beside its output.
+of a run that the CLI saves beside its output, and `shallowice monitors`
+validates the saved dict with the same parse_config.
 
 FORCING_CLASSES maps each forcing preset but gridded to its dataclass,
 whose fields are the preset's numeric keys; FORCING_CHECKS holds the range
@@ -82,6 +83,8 @@ FORCING_CHECKS = {
 FORCING_PRESETS = (*FORCING_CLASSES, "gridded")
 INITIAL_PRESETS = ("dome", "zero", "bump")
 OUTPUT_FORMATS = ("csv", "vtk")
+KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list",
+              dict: "an object"}
 
 
 class _Section:
@@ -110,26 +113,16 @@ class _Section:
     def _convert(self, key, kind, check, constraint):
         self.seen.add(key)
         value = self.raw[key]
+        accepted = (int, float) if kind is float else kind
+        # a JSON true or false is a bool, which Python counts as an int
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValidationError(self._field(key), f"must be {KIND_NAMES[kind]}")
         if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(self._field(key), "must be a number")
             # json.loads reads a numeral such as 1e999 as inf; an integer
             # numeral past the float range compares above its maximum too
             if not abs(value) <= sys.float_info.max:
                 raise ValidationError(self._field(key), "must be a finite number")
             value = float(value)
-        elif kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(self._field(key), "must be an integer")
-        elif kind is str:
-            if not isinstance(value, str):
-                raise ValidationError(self._field(key), "must be a string")
-        elif kind is list:
-            if not isinstance(value, list):
-                raise ValidationError(self._field(key), "must be a list")
-        elif kind is dict:
-            if not isinstance(value, dict):
-                raise ValidationError(self._field(key), "must be an object")
         if check is not None and not check(value):
             raise ValidationError(self._field(key), constraint)
         return value
@@ -146,8 +139,11 @@ def _reject_constant(name: str):
     raise ConfigError(f"{name} is not a JSON number; numbers must be finite")
 
 
-def parse_config(text: str) -> dict:
+def parse_config(document: str | dict) -> dict:
     """Parse and validate a UTF-8 JSON run configuration into a plain dict.
+
+    document: the JSON text, or the dict json.loads made of it, such as
+    the config a run saved in run_metadata.json.
 
     Sections: domain {Lx, Ly, nx, ny}; time {T, N}; physics {p, rho_g,
     A_const, mu?}; penalty {kappa, delta?, eps?}; forcing {preset, ...};
@@ -159,11 +155,16 @@ def parse_config(text: str) -> dict:
     default filled in, so parse_config(json.dumps(config)) == config.  The
     literals NaN, Infinity and -Infinity, which json.loads would take, are
     rejected, and so is a numeral that overflows to infinity, such as 1e999.
+    JSON integers are unbounded, so sizes no run can build are rejected too:
+    nx * ny beyond the index range of numpy, and a step T / N that is not
+    a positive float.
     """
-    try:
-        raw = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as err:
-        raise ConfigSyntaxError(err.msg, err.lineno, err.colno) from err
+    raw = document
+    if isinstance(document, str):
+        try:
+            raw = json.loads(document, parse_constant=_reject_constant)
+        except json.JSONDecodeError as err:
+            raise ConfigSyntaxError(err.msg, err.lineno, err.colno) from err
     top = _Section("", raw)
 
     dom = _Section("domain", top.require("domain", dict))
@@ -174,6 +175,8 @@ def parse_config(text: str) -> dict:
         "ny": dom.require("ny", int, lambda v: v >= 3, "must be at least 3"),
     }
     dom.reject_unknown()
+    if domain["nx"] * domain["ny"] > np.iinfo(np.intp).max:
+        raise ValidationError("domain", "nx * ny nodes are more than numpy can index")
 
     tim = _Section("time", top.require("time", dict))
     time = {
@@ -181,6 +184,9 @@ def parse_config(text: str) -> dict:
         "N": tim.require("N", int, lambda v: v >= 1, "must be at least 1"),
     }
     tim.reject_unknown()
+    # an N past the float range cannot divide T, and T / N may underflow to 0
+    if not (time["N"] <= sys.float_info.max and time["T"] / time["N"] > 0):
+        raise ValidationError("time.N", "the step T / N must be a positive float")
 
     phys = _Section("physics", top.require("physics", dict))
     physics = {
@@ -188,17 +194,11 @@ def parse_config(text: str) -> dict:
         "rho_g": phys.require("rho_g", float, lambda v: v > 0, "must be positive"),
         "A_const": phys.require("A_const", float, lambda v: v > 0, "must be positive"),
     }
-    if phys.raw.get("mu") is not None:
-        value = phys.raw["mu"]
-        if isinstance(value, str):
-            physics["mu"] = phys.require("mu", str)
-        else:
-            physics["mu"] = phys.require(
-                "mu", float, lambda v: v > 0, "must be positive"
-            )
-    else:
-        phys.seen.add("mu")
-        physics["mu"] = None
+    # absent or null: the Glen law; a string names a per-triangle file
+    mu = phys.raw.get("mu")
+    physics["mu"] = mu if mu is None or isinstance(mu, str) else phys.require(
+        "mu", float, lambda v: v > 0, "must be positive")
+    phys.seen.add("mu")
     phys.reject_unknown()
 
     pen = _Section("penalty", top.require("penalty", dict))
@@ -288,6 +288,14 @@ def initial_thickness_field(kind: str, amplitude: float, mesh: StructuredMesh) -
     raise ValidationError("initial.preset", f"must be one of {INITIAL_PRESETS}")
 
 
+def mesh_allocation_error(domain: dict, err: Exception) -> ValidationError:
+    """The configuration error of a validated domain whose mesh build_mesh
+    could not allocate (MemoryError, or numpy's ValueError for an array
+    past its size limit)."""
+    nx, ny = domain["nx"], domain["ny"]
+    return ValidationError("domain", f"cannot allocate a {nx} x {ny} mesh: {err}")
+
+
 def _read_named_file(fieldname: str, path: Path, reader, *args):
     """Return reader(path, *args), the content of the file config field
     fieldname names.
@@ -353,7 +361,10 @@ def build_setup(config: dict, base_dir=".") -> RunSetup:
     """
     base_dir = Path(base_dir)
     domain, physics, penalty = config["domain"], config["physics"], config["penalty"]
-    mesh = build_mesh(domain["nx"], domain["ny"], domain["Lx"], domain["Ly"])
+    try:
+        mesh = build_mesh(domain["nx"], domain["ny"], domain["Lx"], domain["Ly"])
+    except (MemoryError, ValueError) as err:
+        raise mesh_allocation_error(domain, err) from err
     time_grid = TimeGrid(config["time"]["T"], config["time"]["N"])
 
     mu = physics["mu"]

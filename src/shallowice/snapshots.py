@@ -210,23 +210,18 @@ def write_snapshot(field, mesh: StructuredMesh, path, fmt: str,
 def read_field_csv(path, mesh: StructuredMesh) -> np.ndarray:
     """Read a nodal field written by write_snapshot(..., 'csv').
 
-    Row i must hold node i of this mesh: its x and y columns may differ
-    from the node coordinates by at most NODE_RTOL times Lx and Ly, so a
-    field of another grid with the same node count is rejected.
+    Data lines (_data_lines) after an optional 'x,y,value' header hold x, y
+    and the value; further columns are ignored.  Row i must hold node i of
+    this mesh: its x and y columns may differ from the node coordinates by
+    at most NODE_RTOL times Lx and Ly, so a field of another grid with the
+    same node count is rejected.
     """
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("x,"):
-                continue
-            cells = line.split(",")
-            if len(cells) < 3:
-                raise ValueError(f"line {number} has no value column")
-            rows.append([float(cell) for cell in cells[:3]])
-    table = np.array(rows).reshape(-1, 3)
-    if table.shape[0] != mesh.n_nodes:
-        raise ValueError(f"expected {mesh.n_nodes} data rows, found {table.shape[0]}")
+        rows = [line for line in _data_lines(fh) if not line.lstrip().startswith("x,")]
+    # counted here, since loadtxt only warns on a file without data rows
+    if len(rows) != mesh.n_nodes:
+        raise ValueError(f"expected {mesh.n_nodes} data rows, found {len(rows)}")
+    table = np.loadtxt(rows, delimiter=",", usecols=(0, 1, 2), ndmin=2)
     within = np.abs(table[:, :2] - mesh.nodes) <= NODE_RTOL * np.array([mesh.Lx, mesh.Ly])
     if not within.all():
         i = int(np.argmin(within.all(axis=1)))
@@ -275,6 +270,13 @@ def write_states_csv(states: list, path, metadata: dict | None = None) -> None:
             fh.write(f"{n},{row}\n")
 
 
+def _data_lines(fh):
+    """The lines of a text file that hold data: a line that is blank or
+    whose first non-blank character is '#' is skipped wherever it stands."""
+    # lstrip copies nothing of a line that has no leading blank
+    return (line for line in fh if line.lstrip()[:1] not in ("", "#"))
+
+
 def _row_values(line: str) -> str:
     """The text of a states.csv row after its step cell, which must be a
     number: loadtxt sees only the first row of each run."""
@@ -286,14 +288,12 @@ def _row_values(line: str) -> str:
 def read_states_csv(path) -> list:
     """Read the states written by write_states_csv, one nodal array per step.
 
-    A line that is blank or whose first non-blank character is '#' is
-    skipped wherever it stands.  Each run of rows whose text after the step
-    column repeats (state_runs) is parsed once; every step cell must still
-    be a number.  Each returned array is a row of its own.
+    Only data lines are read (_data_lines).  Each run of rows whose text
+    after the step column repeats (state_runs) is parsed once; every step
+    cell must still be a number.  Each returned array is a row of its own.
     """
     with open(path, encoding="utf-8") as fh:
-        # lstrip copies nothing of a row that has no leading blank
-        rows = (line for line in fh if line.lstrip()[:1] not in ("", "#"))
+        rows = _data_lines(fh)
         first = next((line for line in rows if not line.startswith("step,")), None)
         # checked here, since loadtxt only warns on a file without data rows
         if first is None:

@@ -170,6 +170,11 @@ def test_config_error_exit_code(tmp_path, capsys):
                    tmp_path / "elsewhere.csv", "csv")
     np.savetxt(tmp_path / "nan.csv",
                np.column_stack([[0.0, 1.0], np.full((2, 49), np.nan)]), delimiter=",")
+    # a valid thickness but for one row that lost its value
+    write_snapshot(np.where(mesh.boundary_mask, 0.0, 1.0), mesh, tmp_path / "twocell.csv", "csv")
+    lines = (tmp_path / "twocell.csv").read_text(encoding="utf-8").splitlines()
+    lines[9] = lines[9].rsplit(",", 1)[0]
+    (tmp_path / "twocell.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     cases = [
         ("initial.csv", {"initial": {"csv": "short.csv"}}),
         ("initial.csv", {"initial": {"csv": "novalue.csv"}}),
@@ -183,6 +188,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("initial.csv", {"initial": {"csv": "negative.csv"}}),
         ("initial.csv", {"initial": {"csv": "elsewhere.csv"}}),
         ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "nan.csv"}}),
+        ("initial.csv", {"initial": {"csv": "twocell.csv"}}),
     ]
     for fieldname, override in cases:
         cfg = write_config(tmp_path / "files.json", tmp_path / "out", **override)
@@ -291,6 +297,68 @@ def test_overflowing_numeral_is_a_config_error(tmp_path, capsys, section, key, n
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# a JSON integer of 400 digits: rejected before anything is allocated
+HUGE = 10**399
+NO_NODES = "domain: nx * ny nodes are more than numpy can index"
+NO_STEP = "time.N: the step T / N must be a positive float"
+
+
+@pytest.mark.parametrize("section, key", [("domain", "nx"), ("domain", "ny"), ("time", "N")])
+@pytest.mark.parametrize("command", ["run", "sweep", "mms", "monitors"])
+def test_sizes_no_run_can_build_are_config_errors(tmp_path, capsys, command, section, key):
+    # unchecked, run and sweep ended in a ValueError or OverflowError
+    # traceback, mms ran, and monitors blamed an unreadable saved run
+    message = NO_STEP if key == "N" else NO_NODES
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.json", out)
+    doc = json.loads(cfg.read_text(encoding="utf-8"))
+    doc[section][key] = HUGE
+    if command == "monitors":
+        assert cli(["run", str(cfg)]) == 0
+        meta = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))
+        meta["config"][section][key] = HUGE
+        (out / "run_metadata.json").write_text(json.dumps(meta), encoding="utf-8")
+        message = f"{out}: {message}"
+    else:
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"run": ["run", str(cfg)],
+            "sweep": ["sweep", str(cfg), "--kappas", "1e-2"],
+            "mms": ["mms", str(cfg), "--meshes", "5", "--steps", "1"],
+            "monitors": ["monitors", str(out)]}[command]
+    capsys.readouterr()
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {message}" in err
+    assert "Traceback" not in err
+    assert not (out / "monitors_recomputed.csv").exists()
+    assert command == "monitors" or not out.exists()
+
+
+def test_a_mesh_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys, monkeypatch):
+    import shallowice.cli as cli_module
+    import shallowice.config as config_module
+
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.json", out)
+    assert cli(["run", str(cfg)]) == 0
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(config_module, "build_mesh", no_memory)
+    monkeypatch.setattr(cli_module, "build_mesh", no_memory)
+    message = "domain: cannot allocate a 7 x 7 mesh: Unable to allocate 1.00 TiB"
+    for argv, prefix in ((["run", str(cfg)], ""),
+                         (["sweep", str(cfg), "--kappas", "1e-2"], ""),
+                         (["monitors", str(out)], f"{out}: ")):
+        capsys.readouterr()
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {prefix}{message}" in err
+        assert "Traceback" not in err
+    assert not (out / "monitors_recomputed.csv").exists()
 
 
 def test_solver_failure_exit_code(monkeypatch, tmp_path, capsys):
@@ -448,7 +516,33 @@ def test_monitors_rejects_a_saved_kappa_that_is_not_a_penalty(tmp_path, capsys, 
     capsys.readouterr()
     assert cli(["monitors", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "penalty.kappa must be a finite positive number" in err
+    assert f"{out}: penalty.kappa: " in err
+    assert "Traceback" not in err
+    assert not (out / "monitors_recomputed.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("physics", "p", float("nan")),
+    ("physics", "p", "3"),
+    ("physics", "p", 0.5),
+    ("penalty", "delta", -1.0),
+    ("penalty", "eps", -1.0),
+    ("physics", "q", 1.0),
+])
+def test_monitors_validates_the_saved_config_like_run(tmp_path, capsys, section, key, value):
+    # a hand-edited run_metadata.json is judged by the rules run applied:
+    # unchecked, a NaN or string p and a negative delta or eps wrote
+    # monitors, an unknown key passed, and p = 0.5 blamed states.csv
+    out = tmp_path / "out"
+    assert cli(["run", str(write_config(tmp_path / "run.json", out))]) == 0
+    meta_path = out / "run_metadata.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["config"][section][key] = value
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert cli(["monitors", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {out}: {section}.{key}: " in err
     assert "Traceback" not in err
     assert not (out / "monitors_recomputed.csv").exists()
 

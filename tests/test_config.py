@@ -42,8 +42,37 @@ def test_minimal_document_round_trip():
     assert config["solver"]["tol_residual"] == 1e-10
     assert config["output"] == {"directory": "out", "stride": 1, "formats": ["csv"]}
     assert config["physics"]["mu"] is None
-    # the parsed dict, defaults included, parses back to itself
+    # the parsed dict, defaults included, parses back to itself, as text
+    # or as the dict that json.loads makes of it
     assert parse_config(json.dumps(config)) == config
+    assert parse_config(json.loads(json.dumps(config))) == config
+
+
+def test_a_decoded_document_names_its_nonfinite_field():
+    # json.loads takes NaN and Infinity; in a decoded document they are
+    # values of a field, not literals of the text
+    doc = minimal_config()
+    doc["physics"]["p"] = float("nan")
+    with pytest.raises(ValidationError, match="physics.p: must be a finite number"):
+        parse_config(doc)
+
+
+def test_sizes_no_run_can_build():
+    huge = 10**399
+    for section, key, value, match in [
+        ("domain", "nx", huge, "domain: nx \\* ny nodes are more than numpy can index"),
+        ("domain", "ny", huge, "domain: nx \\* ny nodes"),
+        ("time", "N", huge, "time.N: the step T / N must be a positive float"),
+    ]:
+        doc = minimal_config()
+        doc[section][key] = value
+        with pytest.raises(ValidationError, match=match):
+            parse_config(json.dumps(doc))
+    # the smallest positive float halved rounds to 0: no step is left
+    doc = minimal_config(time={"T": 5e-324, "N": 2})
+    with pytest.raises(ValidationError, match="time.N: the step T / N"):
+        parse_config(json.dumps(doc))
+    assert parse_config(json.dumps(minimal_config(time={"T": 5e-324, "N": 1})))
 
 
 def test_rejects_p_at_most_one():

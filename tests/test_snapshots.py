@@ -54,6 +54,32 @@ def test_csv_read_checks_the_node_coordinates(tmp_path):
         read_field_csv(path, mesh)
 
 
+def test_csv_read_takes_an_optional_header_and_extra_columns(tmp_path):
+    mesh = build_mesh(6, 4, 2.0, 1.0)
+    field = np.random.default_rng(3).standard_normal(mesh.n_nodes) * np.pi
+    path = tmp_path / "field.csv"
+    write_snapshot(field, mesh, path, "csv", metadata={"kappa": 1e-3})
+    meta, header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert meta.startswith("# ") and header == "x,y,value"
+    # no metadata line and no header
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert read_field_csv(path, mesh).tobytes() == field.tobytes()
+    # a fourth column, and blank and indented comment lines between rows
+    extra = [row + ",7.5" for row in rows]
+    extra[3:3] = ["", "  # a note", "\t"]
+    path.write_text("\n".join([meta, header, *extra]) + "\n", encoding="utf-8")
+    assert read_field_csv(path, mesh).tobytes() == field.tobytes()
+    # a row of two cells has no value
+    rows[5] = rows[5].rsplit(",", 1)[0]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="column"):
+        read_field_csv(path, mesh)
+    # a file without data rows
+    path.write_text(meta + "\n" + header + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"expected {mesh.n_nodes} data rows, found 0"):
+        read_field_csv(path, mesh)
+
+
 def test_vtk_header_layout(tmp_path, mesh3):
     path = tmp_path / "u.vtk"
     write_snapshot(np.zeros(9), mesh3, path, "vtk", name="u")
