@@ -11,6 +11,7 @@ made before the solve).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import warnings
 from pathlib import Path
@@ -93,6 +94,13 @@ def _provenance(config: dict, **extra) -> dict:
 
 
 def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
+    """Write the files of a run and return its monitors.
+
+    What repeats is written from text made once: each distinct value of a
+    state is formatted once, a state that repeats its predecessor shares
+    its predecessor's FieldText, and the snapshots of a run of equal states
+    are written one format after the other from one text per format.
+    """
     write_run_metadata(meta, outdir / "run_metadata.json")
     # each distinct state is formatted once, by states.csv, and its
     # snapshots reuse it; a repeated state reuses its predecessor's text
@@ -104,11 +112,16 @@ def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
 
     formats = setup.output["formats"]
     indices = sorted(set(range(0, traj.N + 1, setup.output["stride"])) | {traj.N})
-    for n in indices:
+    # the saved states of a run of equal states share one FieldText; their
+    # files are written one format after the other, so each format's text
+    # is built once per run and written to every file of the run
+    for _, run_indices in itertools.groupby(indices, states.__getitem__):
+        run_indices = list(run_indices)
         for fmt in formats:
-            write_snapshot(states[n], setup.mesh,
-                           outdir / f"u_{n:06d}.{fmt}", fmt, name="u",
-                           metadata=meta)
+            for n in run_indices:
+                write_snapshot(states[n], setup.mesh,
+                               outdir / f"u_{n:06d}.{fmt}", fmt, name="u",
+                               metadata=meta)
     # clip penalty-scale violations before the power transform
     H_final = text.field(
         thickness_from_u(np.maximum(traj.states[-1], 0.0), setup.params.p))

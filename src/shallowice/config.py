@@ -29,7 +29,7 @@ from . import forcing as forcing_mod
 from .mesh import StructuredMesh, build_mesh
 from .operators import DEFAULT_DELTA, DEFAULT_EPS
 from .physics import PhysicalParams, make_params
-from .snapshots import read_field_csv
+from .snapshots import _data_lines, read_field_csv
 from .solver import SolverConfig
 from .timestep import TimeGrid
 
@@ -322,7 +322,14 @@ def _read_mu(path: Path, mesh: StructuredMesh) -> np.ndarray:
 
 
 def _read_gridded(path: Path, mesh: StructuredMesh, T: float):
-    table = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    """The series of a gridded forcing: data lines (_data_lines) of a time
+    and the nodal values, comma-separated."""
+    with open(path, encoding="utf-8") as fh:
+        rows = list(_data_lines(fh))
+    # checked here, since loadtxt only warns on a file without data rows
+    if not rows:
+        raise ValueError("no data rows")
+    table = np.loadtxt(rows, delimiter=",", ndmin=2)
     forcing = forcing_mod.GriddedForcing(table[:, 0], table[:, 1:])
     if forcing.values.shape[1] != mesh.n_nodes:
         raise ValueError(f"needs {mesh.n_nodes} nodal values after the time")

@@ -17,12 +17,21 @@ row when a writer first needs them.  `states.csv` streams that row, a CSV
 snapshot zips it with the node prefixes, and a VTK body puts one value on
 each line.  The writers also take plain numeric arrays, with the same bytes.
 
-A settled implicit step repeats its predecessor's state.  `state_runs` is
-the one rule for such a repeat: it splits a sequence into runs of
-consecutive items with equal keys, a state's bytes (so -0.0 is not 0.0)
-or a `states.csv` row's text after its step cell.  `SnapshotText.fields`
-gives each run one FieldText, `read_states_csv` parses the first row of
-each run, and the monitors compute each term once per run.
+Repetition costs only what is new, by three rules:
+
+* A repeated value is formatted once: `_fmt_array` formats each distinct
+  value of an array once, told apart by its bits (so -0.0 is not 0.0), and
+  spreads the texts back through the inverse index.
+* A repeated state is formatted once.  A settled implicit step repeats its
+  predecessor's state, and `state_runs` is the one rule for such a repeat:
+  it splits a sequence into runs of consecutive items with equal keys, a
+  state's bytes or a `states.csv` row's text after its step cell.
+  `SnapshotText.fields` gives each run one FieldText, `read_states_csv`
+  parses the first row of each run, and the monitors compute each term
+  once per run.
+* A repeated file is built once.  `SnapshotText.file_text` keeps the last
+  snapshot text it built, one at a time, so the files of one FieldText
+  written one format after the other build each format's text once.
 """
 
 from __future__ import annotations
@@ -61,8 +70,15 @@ def _fmt(v) -> str:
 
 
 def _fmt_array(a) -> list[str]:
-    """_fmt of every element; one tolist() instead of a float() per element."""
-    return list(map(repr, np.asarray(a, dtype=float).tolist()))
+    """_fmt of every element, each distinct value formatted once.
+
+    Values are told apart by their bits, so -0.0 is not 0.0; the texts of
+    the distinct values are spread back through the inverse index.
+    """
+    bits, inverse = np.unique(np.ascontiguousarray(a, dtype=float).view(np.int64),
+                              return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def state_runs(items, key=np.ndarray.tobytes):
@@ -100,6 +116,8 @@ class SnapshotText:
     def __init__(self, mesh: StructuredMesh, metadata: dict | None = None):
         self.mesh = mesh
         self.metadata = metadata
+        # (row, fmt, name, text) of the last snapshot text built
+        self._last = None
 
     def field(self, values) -> FieldText:
         return FieldText(self, values)
@@ -151,6 +169,19 @@ class SnapshotText:
             f"POINT_DATA {mesh.n_nodes}\n"
         )
 
+    def file_text(self, field: FieldText, fmt: str, name: str) -> str:
+        """_file_text of one of this text's fields, of which the last one
+        built is kept: the files of a run of equal states, which share one
+        FieldText, build each format's text once when they are written one
+        format after the other, and one text is held at a time."""
+        # keyed on the field's row, which makes the text with this
+        # SnapshotText: holding the field would make a reference cycle,
+        # which keeps both alive after the run until a garbage collection
+        last = self._last
+        if last is None or last[0] is not field.row or last[1:3] != (fmt, name):
+            last = self._last = (field.row, fmt, name, _file_text(field, fmt, name))
+        return last[3]
+
 
 class FieldText:
     """One nodal field bound to a SnapshotText.
@@ -174,6 +205,18 @@ class FieldText:
         return ",".join(_fmt_array(self.values))
 
 
+def _file_text(field: FieldText, fmt: str, name: str) -> str:
+    """The whole text of a snapshot file of field, named name in a VTK file."""
+    text = field.text
+    if fmt == "csv":
+        body = "\n".join(map(operator.add, text.csv_prefixes, field.row.split(",")))
+        return text.csv_head + body + "\n"
+    if fmt == "vtk":
+        head = f"{text.vtk_head}SCALARS {name} double\nLOOKUP_TABLE default\n"
+        return head + field.row.replace(",", "\n") + "\n"
+    raise ValueError(f"format must be 'csv' or 'vtk', got {fmt!r}")
+
+
 def write_snapshot(field, mesh: StructuredMesh, path, fmt: str,
                    name: str = "u", metadata: dict | None = None) -> None:
     """Write one nodal field.
@@ -192,17 +235,10 @@ def write_snapshot(field, mesh: StructuredMesh, path, fmt: str,
                              "metadata of its SnapshotText")
     else:
         field = SnapshotText(mesh, metadata).field(field)
-    text = field.text
+    content = field.text.file_text(field, fmt, name)
     path = Path(path)
     try:
-        if fmt == "csv":
-            body = "\n".join(map(operator.add, text.csv_prefixes, field.row.split(",")))
-            path.write_text(text.csv_head + body + "\n", encoding="utf-8")
-        elif fmt == "vtk":
-            head = f"{text.vtk_head}SCALARS {name} double\nLOOKUP_TABLE default\n"
-            path.write_text(head + field.row.replace(",", "\n") + "\n", encoding="utf-8")
-        else:
-            raise ValueError(f"format must be 'csv' or 'vtk', got {fmt!r}")
+        path.write_text(content, encoding="utf-8")
     except OSError as err:
         raise OSError(f"cannot write snapshot {path}: {err}") from err
 
@@ -300,7 +336,10 @@ def read_states_csv(path) -> list:
             raise ValueError(f"{path}: no state rows found")
         firsts, counts = state_runs(itertools.chain([first], rows), _row_values)
         table = np.loadtxt(firsts, delimiter=",", ndmin=2)
-    return list(np.repeat(table[:, 1:], counts, axis=0))
+    # one copy per step rather than one (N + 1) x n table: a block that
+    # large, allocated once per read, lands past the free space of the heap
+    # on some runs and raises the peak memory by its size
+    return [row.copy() for row, count in zip(table[:, 1:], counts) for _ in range(count)]
 
 
 def write_run_metadata(metadata: dict, path) -> None:

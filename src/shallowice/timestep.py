@@ -8,7 +8,7 @@ CLI saves it with every output file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,23 +111,38 @@ def run(
     starts from it or from the nodal minimizer of the step, whichever has
     the lower energy; on a step failure a MarchError carrying the
     trajectory so far is raised.
+
+    A repeated step is not solved again.  When the previous step returned
+    its own u_prev byte for byte and this step's slab-averaged forcing has
+    the bytes of the previous step's, this step's problem is the previous
+    one, and solve_step, which is deterministic, would return the same
+    result: the step appends a copy of that state and of its StepResult.
+    The key is the bytes, not a count of 0 Newton iterations, since a step
+    that stops at the nodal minimizer takes 0 iterations and still moves.
     """
     cfg = solver_config or SolverConfig()
     traj = Trajectory(
         states=[params.u0.copy()], step_diagnostics=[], time_grid=time_grid,
         mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
     )
+    # the forcing bytes and result of the previous step, if it repeated its u_prev
+    repeat = None
     for n in range(time_grid.N):
         a_bar = average_forcing(params.forcing, n, time_grid, mesh)
-        problem = StepProblem(
-            mesh=mesh, params=params, u_prev=traj.states[-1], a_bar=a_bar,
-            ell=time_grid.ell, kappa=kappa, delta=delta, eps=eps,
-        )
-        try:
-            result = solve_step(problem, cfg)
-        except SolverError as err:
-            raise MarchError(n, traj, err) from err
+        u_prev = traj.states[-1]
+        if repeat is not None and repeat[0] == a_bar.tobytes():
+            result = replace(repeat[1], u_next=u_prev.copy())
+        else:
+            problem = StepProblem(
+                mesh=mesh, params=params, u_prev=u_prev, a_bar=a_bar,
+                ell=time_grid.ell, kappa=kappa, delta=delta, eps=eps,
+            )
+            try:
+                result = solve_step(problem, cfg)
+            except SolverError as err:
+                raise MarchError(n, traj, err) from err
+        same = result.u_next.tobytes() == u_prev.tobytes()
+        repeat = (a_bar.tobytes(), result) if same else None
         traj.states.append(result.u_next)
         traj.step_diagnostics.append(result)
     return traj
-

@@ -225,6 +225,37 @@ def test_gridded_run_on_exactly_the_sampled_range(tmp_path, capsys):
     assert (tmp_path / "out" / "u_000019.csv").exists()
 
 
+def test_gridded_series_skips_blank_and_comment_lines(tmp_path, capsys):
+    # an indented '#' line and a whitespace-only line between the rows of a
+    # series are skipped, as in initial.csv, and the run equals that of the
+    # plain series; a file without data rows stays malformed
+    table = np.column_stack([[0.0, 0.1, 0.3], np.outer([0.0, -1.0, -2.0], np.ones(49))])
+    np.savetxt(tmp_path / "plain.csv", table, delimiter=",")
+    rows = (tmp_path / "plain.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "spaced.csv").write_text(
+        "# t, a\n" + rows[0] + "   # between rows\n" + rows[1] + "  \t \n\n" + rows[2],
+        encoding="utf-8")
+    (tmp_path / "empty.csv").write_text("# t, a\n  \n", encoding="utf-8")
+    for name in ("plain", "spaced"):
+        cfg = write_config(tmp_path / f"{name}.json", tmp_path / name,
+                           forcing={"preset": "gridded", "csv": f"{name}.csv"},
+                           initial={"preset": "dome", "amplitude": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli(["run", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    states = [(tmp_path / name / "states.csv").read_text(encoding="utf-8").splitlines()[1:]
+              for name in ("plain", "spaced")]
+    assert states[0] == states[1]
+    cfg = write_config(tmp_path / "empty.json", tmp_path / "empty",
+                       forcing={"preset": "gridded", "csv": "empty.csv"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: forcing.csv: malformed" in err and "no data rows" in err
+
+
 def test_unusable_output_directory_stops_before_the_solve(tmp_path, capsys, monkeypatch):
     # an output directory below a regular file cannot be created
     import shallowice.timestep as timestep
@@ -678,6 +709,46 @@ def test_run_formats_each_field_once(tmp_path, monkeypatch):
                 for fmt in ("csv", "vtk"):
                     assert ((out / f"u_{n:06d}.{fmt}").read_bytes()
                             == (out / f"u_{n - 1:06d}.{fmt}").read_bytes())
+
+
+def test_settled_run_builds_each_snapshot_text_once(tmp_path, monkeypatch):
+    # the saved states of a run of equal states share one text per format,
+    # built once and written to every file of the run, also when the
+    # stride skips states; H_final adds one text per format
+    import itertools
+
+    import shallowice.snapshots as snapshots
+    from shallowice.snapshots import read_states_csv
+
+    builds = []
+    file_text = snapshots._file_text
+    monkeypatch.setattr(snapshots, "_file_text",
+                        lambda *args: builds.append(args[1:]) or file_text(*args))
+    for stride in (1, 3):
+        builds.clear()
+        out = tmp_path / f"stride{stride}"
+        cfg = write_config(tmp_path / f"stride{stride}.json", out,
+                           initial={"preset": "dome", "amplitude": 0.8},
+                           forcing={"preset": "melt", "rate": -2.0},
+                           time={"T": 2.0, "N": 40},
+                           physics={"p": 3.0, "rho_g": 3.0, "A_const": 1.0, "mu": 1.0},
+                           output={"directory": str(out), "stride": stride,
+                                   "formats": ["csv", "vtk"]})
+        assert cli(["run", str(cfg)]) == 0
+        states = read_states_csv(out / "states.csv")
+        saved = sorted(set(range(0, 41, stride)) | {40})
+        # the first state of the run of equal states that each state is in
+        first = [0]
+        for k in range(1, 41):
+            first.append(first[-1] if states[k].tobytes() == states[k - 1].tobytes() else k)
+        runs = [list(run) for _, run in itertools.groupby(saved, first.__getitem__)]
+        assert any(len(run) > 1 for run in runs)
+        assert builds == [(fmt, "u") for _ in runs for fmt in ("csv", "vtk")] + [
+            ("csv", "H"), ("vtk", "H")]
+        for run in runs:
+            for fmt in ("csv", "vtk"):
+                first = (out / f"u_{run[0]:06d}.{fmt}").read_bytes()
+                assert all((out / f"u_{n:06d}.{fmt}").read_bytes() == first for n in run)
 
 
 def test_run_melt_writes_clipped_thickness(tmp_path):

@@ -193,6 +193,58 @@ def test_value_format_is_repr_of_float(tmp_path, mesh3):
     assert "-0.0" in vtk_values and "5e-324" in vtk_values
 
 
+def test_repeated_values_format_as_repr_of_each(tmp_path):
+    # each distinct value is formatted once, told apart by its bits: 0.0 and
+    # -0.0 compare equal, yet each value must be written as its own repr
+    mesh = build_mesh(9, 9, 1.0, 1.0)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1.0 / 3.0, 0.1 + 0.2])
+    field = np.random.default_rng(5).choice(pool, mesh.n_nodes)
+    assert len(np.unique(field.view(np.int64))) == pool.size
+    values = [repr(float(v)) for v in field]
+    assert "0.0" in values and "-0.0" in values
+    text = SnapshotText(mesh)
+    for kind, u in (("numeric", field), ("text", text.field(field))):
+        out = tmp_path / kind
+        out.mkdir()
+        write_snapshot(u, mesh, out / "u.csv", "csv")
+        write_snapshot(u, mesh, out / "u.vtk", "vtk")
+        write_states_csv([u, u], out / "states.csv")
+        assert (out / "u.csv").read_bytes() == ("x,y,value\n" + "".join(
+            f"{float(x)!r},{float(y)!r},{v}\n"
+            for (x, y), v in zip(mesh.nodes, values))).encode()
+        assert (out / "u.vtk").read_text().splitlines()[10:] == values
+        row = ",".join(values)
+        assert (out / "states.csv").read_text().splitlines()[1:] == [f"0,{row}", f"1,{row}"]
+
+
+def test_snapshot_text_is_built_once_per_run_and_format(tmp_path, mesh3, monkeypatch):
+    # the files of a run of equal states, written one format after the
+    # other, build each format's text once; writing another field or format
+    # in between builds it again, since one text is held at a time
+    import shallowice.snapshots as snapshots
+
+    builds = []
+    file_text = snapshots._file_text
+    monkeypatch.setattr(snapshots, "_file_text",
+                        lambda *args: builds.append(args[1:]) or file_text(*args))
+    a, b = np.zeros(9), np.arange(9.0)
+    states = SnapshotText(mesh3).fields([a, a, b, b, b, a])
+    runs = [[0, 1], [2, 3, 4], [5]]
+    for run in runs:
+        for fmt in ("csv", "vtk"):
+            for n in run:
+                write_snapshot(states[n], mesh3, tmp_path / f"u_{n}.{fmt}", fmt)
+    assert builds == [(fmt, "u") for _ in runs for fmt in ("csv", "vtk")]
+    for fmt in ("csv", "vtk"):
+        files = [(tmp_path / f"u_{n}.{fmt}").read_bytes() for n in range(6)]
+        assert files[0] == files[1] == files[5] != files[2] == files[3] == files[4]
+    builds.clear()
+    write_snapshot(states[0], mesh3, tmp_path / "again.csv", "csv")
+    write_snapshot(states[0], mesh3, tmp_path / "again.vtk", "vtk", name="H")
+    write_snapshot(states[0], mesh3, tmp_path / "again.csv", "csv")
+    assert builds == [("csv", "u"), ("vtk", "H"), ("csv", "u")]
+
+
 def test_formatted_field_writes_numeric_bytes(tmp_path, mesh3):
     # FieldTexts written to every kind of file give the numeric path's bytes
     field = np.resize(np.array(AWKWARD), mesh3.n_nodes)

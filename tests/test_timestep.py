@@ -174,3 +174,77 @@ def test_eps0_bare_ground_march_converges(mesh9):
         res = scaled_residual_norm(problem, step_residual(problem, traj.states[k + 1]))
         assert res <= cfg.tol_residual
 
+
+
+def _counted_run(monkeypatch, mesh, params, grid, kappa):
+    """run, and the number of solve_step calls it made."""
+    import shallowice.timestep as timestep
+
+    calls = []
+
+    def counted(problem, config=None):
+        calls.append(problem)
+        return solve_step(problem, config)
+
+    monkeypatch.setattr(timestep, "solve_step", counted)
+    return run(mesh, params, grid, kappa), len(calls)
+
+
+def _assert_equals_direct_steps(traj, grid, kappa):
+    """Every step of traj is what solve_step gives for that step's problem,
+    in a state and a StepResult of its own."""
+    mesh, params = traj.mesh, traj.params
+    for n, got in enumerate(traj.step_diagnostics):
+        problem = StepProblem(
+            mesh=mesh, params=params, u_prev=traj.states[n],
+            a_bar=average_forcing(params.forcing, n, grid, mesh), ell=grid.ell, kappa=kappa,
+        )
+        direct = solve_step(problem)
+        assert got.u_next is traj.states[n + 1] and got.u_next is not traj.states[n]
+        assert got.u_next.tobytes() == direct.u_next.tobytes()
+        assert (got.iterations, got.final_residual, got.final_energy, got.backtracks) == (
+            direct.iterations, direct.final_residual, direct.final_energy, direct.backtracks)
+    assert len({id(d) for d in traj.step_diagnostics}) == grid.N
+
+
+def test_repeated_step_is_not_solved_again(monkeypatch, mesh5):
+    # the first step of a zero run returns its u_prev, and every later step
+    # has the same forcing bytes, so it is that step again
+    with pytest.warns(UserWarning, match="identically zero"):
+        params = make_params(mesh5, 3.0, ConstantForcing(0.0), u0=np.zeros(mesh5.n_nodes),
+                             mu=1.0)
+    grid = TimeGrid(1.0, 5)
+    traj, calls = _counted_run(monkeypatch, mesh5, params, grid, 1e-2)
+    assert calls == 1
+    _assert_equals_direct_steps(traj, grid, 1e-2)
+
+
+def test_step_with_new_forcing_is_solved(monkeypatch, mesh5):
+    # the forcing vanishes on the first slab only: step 0 returns its u_prev,
+    # but each later slab average differs from the one before, so no step repeats
+    interior = ~mesh5.boundary_mask
+    forcing = CallableForcing(lambda t, mesh: interior * (t > 0.2) * t)
+    with pytest.warns(UserWarning, match="identically zero"):
+        params = make_params(mesh5, 3.0, forcing, u0=np.zeros(mesh5.n_nodes), mu=1.0)
+    grid = TimeGrid(1.0, 5)
+    traj, calls = _counted_run(monkeypatch, mesh5, params, grid, 1e-2)
+    assert calls == grid.N
+    assert traj.states[1].tobytes() == traj.states[0].tobytes()
+    assert traj.states[2].tobytes() != traj.states[1].tobytes()
+    _assert_equals_direct_steps(traj, grid, 1e-2)
+
+
+def test_settling_melt_reuses_only_repeated_steps(monkeypatch, mesh5):
+    # p = 5 with a stiff penalty: steps 3 to 8 stop at the nodal minimizer
+    # after 0 Newton iterations and still move the state, so a count of 0
+    # iterations does not mark a repeat; the run then settles
+    H0 = initial_thickness_field("dome", 1.0, mesh5)
+    params = make_params(mesh5, 5.0, MeltForcing(-2.0), H0=H0, mu=1.0)
+    grid = TimeGrid(2.0, 20)
+    traj, calls = _counted_run(monkeypatch, mesh5, params, grid, 1e-6)
+    diags, states = traj.step_diagnostics, traj.states
+    assert any(d.iterations == 0 and states[n + 1].tobytes() != states[n].tobytes()
+               for n, d in enumerate(diags))
+    repeats = [n for n in range(1, grid.N) if states[n].tobytes() == states[n - 1].tobytes()]
+    assert repeats and calls == grid.N - len(repeats)
+    _assert_equals_direct_steps(traj, grid, 1e-6)
