@@ -11,7 +11,6 @@ made before the solve).
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import warnings
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, build_setup, load_config, mesh_allocation_error, parse_config
+from .config import ConfigError, build_mesh_and_grid, build_setup, load_config, parse_config
 from .forcing import ConstantForcing
 from .mesh import build_mesh
 from .monitors import compute_monitors, kappa_sweep
@@ -35,7 +34,7 @@ from .snapshots import (
     write_sweep_csv,
 )
 from .solver import SolverConfig, SolverError
-from .timestep import MarchError, TimeGrid, Trajectory, run
+from .timestep import MarchError, Trajectory, run
 from .verification import (
     MmsCase,
     brute_force_step_oracle,
@@ -98,12 +97,11 @@ def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
 
     What repeats is written from text made once: each distinct value of a
     state is formatted once, a state that repeats its predecessor shares
-    its predecessor's FieldText, and the snapshots of a run of equal states
-    are written one format after the other from one text per format.
+    its predecessor's FieldText, and the snapshots are written format by
+    format, so the SnapshotText memo builds one text per run of equal
+    states and format.
     """
     write_run_metadata(meta, outdir / "run_metadata.json")
-    # each distinct state is formatted once, by states.csv, and its
-    # snapshots reuse it; a repeated state reuses its predecessor's text
     text = SnapshotText(setup.mesh, meta)
     states = text.fields(traj.states)
     write_states_csv(states, outdir / "states.csv", metadata=meta)
@@ -112,16 +110,10 @@ def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
 
     formats = setup.output["formats"]
     indices = sorted(set(range(0, traj.N + 1, setup.output["stride"])) | {traj.N})
-    # the saved states of a run of equal states share one FieldText; their
-    # files are written one format after the other, so each format's text
-    # is built once per run and written to every file of the run
-    for _, run_indices in itertools.groupby(indices, states.__getitem__):
-        run_indices = list(run_indices)
-        for fmt in formats:
-            for n in run_indices:
-                write_snapshot(states[n], setup.mesh,
-                               outdir / f"u_{n:06d}.{fmt}", fmt, name="u",
-                               metadata=meta)
+    for fmt in formats:
+        for n in indices:
+            write_snapshot(states[n], setup.mesh, outdir / f"u_{n:06d}.{fmt}", fmt,
+                           name="u", metadata=meta)
     # clip penalty-scale violations before the power transform
     H_final = text.field(
         thickness_from_u(np.maximum(traj.states[-1], 0.0), setup.params.p))
@@ -217,13 +209,7 @@ def _cmd_mms(args) -> int:
                             penalty["kappa"], SolverConfig(**config["solver"]),
                             spatial_N=args.spatial_steps,
                             delta=penalty["delta"], eps=penalty["eps"])
-    rows = [{"study": "temporal", "nx": meshes[-1], "N": N, "error": err}
-            for N, err in table.temporal]
-    rows += [{"study": "spatial", "nx": nx,
-              "N": args.spatial_steps or steps[-1], "error": err}
-             for nx, err in table.spatial]
-    write_sweep_csv(rows, outdir / "mms.csv",
-                    metadata=_provenance(config))
+    write_sweep_csv(table.rows(), outdir / "mms.csv", metadata=_provenance(config))
     print(table.format())
     return 0
 
@@ -299,14 +285,10 @@ def _cmd_monitors(args) -> int:
     # before the Newton cap became a constant carry since-removed ones
     try:
         config = parse_config({**saved, "solver": {}})
+        mesh, grid = build_mesh_and_grid(config)
     except ConfigError as err:
         raise ConfigError(f"{outdir}: {err}") from err
-    dom, pen = config["domain"], config["penalty"]
-    try:
-        mesh = build_mesh(dom["nx"], dom["ny"], dom["Lx"], dom["Ly"])
-    except (MemoryError, ValueError) as err:
-        raise ConfigError(f"{outdir}: {mesh_allocation_error(dom, err)}") from err
-    grid = TimeGrid(config["time"]["T"], config["time"]["N"])
+    pen = config["penalty"]
     if len(states) != grid.N + 1 or any(u.shape != (mesh.n_nodes,) for u in states):
         raise ConfigError(f"{outdir}: states.csv needs {grid.N + 1} rows of "
                           f"{mesh.n_nodes} values, as run_metadata.json says")

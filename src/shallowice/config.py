@@ -41,6 +41,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "build_setup",
+    "build_mesh_and_grid",
     "initial_thickness_field",
 ]
 
@@ -288,12 +289,17 @@ def initial_thickness_field(kind: str, amplitude: float, mesh: StructuredMesh) -
     raise ValidationError("initial.preset", f"must be one of {INITIAL_PRESETS}")
 
 
-def mesh_allocation_error(domain: dict, err: Exception) -> ValidationError:
-    """The configuration error of a validated domain whose mesh build_mesh
-    could not allocate (MemoryError, or numpy's ValueError for an array
-    past its size limit)."""
+def build_mesh_and_grid(config: dict) -> tuple[StructuredMesh, TimeGrid]:
+    """The mesh and time grid of a validated config.  A domain whose mesh
+    build_mesh cannot allocate (MemoryError, or numpy's ValueError for an
+    array past its size limit) is a configuration error of the domain."""
+    domain = config["domain"]
     nx, ny = domain["nx"], domain["ny"]
-    return ValidationError("domain", f"cannot allocate a {nx} x {ny} mesh: {err}")
+    try:
+        mesh = build_mesh(nx, ny, domain["Lx"], domain["Ly"])
+    except (MemoryError, ValueError) as err:
+        raise ValidationError("domain", f"cannot allocate a {nx} x {ny} mesh: {err}") from err
+    return mesh, TimeGrid(config["time"]["T"], config["time"]["N"])
 
 
 def _read_named_file(fieldname: str, path: Path, reader, *args):
@@ -367,12 +373,8 @@ def build_setup(config: dict, base_dir=".") -> RunSetup:
     and converted through the power transform, like the presets.
     """
     base_dir = Path(base_dir)
-    domain, physics, penalty = config["domain"], config["physics"], config["penalty"]
-    try:
-        mesh = build_mesh(domain["nx"], domain["ny"], domain["Lx"], domain["Ly"])
-    except (MemoryError, ValueError) as err:
-        raise mesh_allocation_error(domain, err) from err
-    time_grid = TimeGrid(config["time"]["T"], config["time"]["N"])
+    physics, penalty = config["physics"], config["penalty"]
+    mesh, time_grid = build_mesh_and_grid(config)
 
     mu = physics["mu"]
     if isinstance(mu, str):

@@ -2,7 +2,7 @@
 
 One step of the scheme solves, for the new field u with zero boundary values,
 
-    (m_i/ell) (phi_eps(u_i) - phi(uprev_i)) + S_i(u)
+    (m_i/ell) (phi_eps(u_i) - phi_eps(uprev_i)) + S_i(u)
         + (m_i/kappa) min(u_i, 0) - m_i abar_i = 0     at interior nodes,
 
 where phi_eps(u) = (u^2 + eps^2)^((alpha-2)/2) u, S is the weighted
@@ -11,7 +11,10 @@ min(u, 0)/kappa term is the negative-part penalty that drives u upward
 wherever it dips below the obstacle.  The residual is exactly the gradient
 of the strictly convex step energy, so the step solution is its unique
 minimizer.  Time, penalty, and forcing terms use the lumped nodal masses
-m_i, which keeps the pointwise nonlinearities decoupled across nodes.
+m_i, which keeps the pointwise nonlinearities decoupled across nodes.  Both
+states of the time term go through the same phi_eps, so the time terms of
+consecutive steps telescope: the lumped volume sum_i m_i phi_eps(u_i)
+changes only by what the forcing, penalty and flux put in or take out.
 
 evaluate is the one home of both formulas: from one pass over the triangle
 gradients it returns a StepPoint with the energy, the residual, the
@@ -48,7 +51,7 @@ from .mesh import (
     scatter_vertex_sums,
     triangle_gradients,
 )
-from .physics import PhysicalParams, dphi_power_reg, flux_weight, signed_power
+from .physics import PhysicalParams, dphi_power_reg, flux_weight, phi_power_reg
 
 __all__ = [
     "StepProblem",
@@ -89,7 +92,8 @@ class StepProblem:
     the degenerate p-Laplacian (|grad u|^2 -> |grad u|^2 + delta^2) and
     eps >= 0 smooths the singular power slope at u = 0.  Both enter the
     residual and energy consistently, so gradient relations hold for every
-    configured value.  phi_prev = phi(u_prev) is derived from u_prev.
+    configured value.  phi_prev = phi_eps(u_prev) is derived from u_prev
+    with the same eps as the new state.
     """
 
     mesh: StructuredMesh
@@ -113,7 +117,7 @@ class StepProblem:
             raise ValueError("params.mu does not match the mesh triangle count")
         self.u_prev = require_constrained(self.mesh, self.u_prev, "u_prev")
         self.a_bar = require_nodal(self.mesh, self.a_bar, "a_bar")
-        self.phi_prev = signed_power(self.u_prev, self.params.alpha - 1.0)
+        self.phi_prev = phi_power_reg(self.u_prev, self.params.alpha, self.eps)
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ def evaluate(problem: StepProblem, u: np.ndarray) -> StepPoint:
 
     The energy is the convex objective
 
-    J(u) = sum_i m_i [ pw(u_i)/ell - phi(uprev_i) u_i / ell
+    J(u) = sum_i m_i [ pw(u_i)/ell - phi_eps(uprev_i) u_i / ell
                        + min(u_i,0)^2/(2 kappa) - abar_i u_i ]
          + sum_T (|T| mu_T / p) (|grad u_T|^2 + delta^2)^(p/2),
 
@@ -172,8 +176,8 @@ def nodal_terms(problem: StepProblem,
     """The nodal terms of the step per unit mass at every node: the energy
     density, the residual and its slope,
 
-        density   (pw(u) - phi(uprev) u)/ell + min(u, 0)^2/(2 kappa) - abar u
-        residual  (phi_eps(u) - phi(uprev))/ell + min(u, 0)/kappa - abar
+        density   (pw(u) - phi_eps(uprev) u)/ell + min(u, 0)^2/(2 kappa) - abar u
+        residual  (phi_eps(u) - phi_eps(uprev))/ell + min(u, 0)/kappa - abar
         slope     phi_eps'(u)/ell + [u < 0]/kappa
 
     with pw as in evaluate and the slope of min(u, 0) taken as 0 at u = 0.
@@ -237,7 +241,7 @@ def nodal_minimizer(problem: StepProblem) -> np.ndarray:
     nodal and strictly convex, so their minimizer solves, at every node,
     the scalar monotone equation that zeroes the residual of nodal_terms,
 
-        phi_eps(u)/ell + min(u, 0)/kappa = r,   r = phi(uprev)/ell + abar,
+        phi_eps(u)/ell + min(u, 0)/kappa = r,   r = phi_eps(uprev)/ell + abar,
 
     and is set to 0 on the boundary.  Where r >= 0 and eps = 0 the root is
     (ell r)^(1/(alpha-1)).  Elsewhere Newton steps, vectorized over the

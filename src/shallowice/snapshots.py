@@ -29,9 +29,9 @@ Repetition costs only what is new, by three rules:
   `SnapshotText.fields` gives each run one FieldText, `read_states_csv`
   parses the first row of each run, and the monitors compute each term
   once per run.
-* A repeated file is built once.  `SnapshotText.file_text` keeps the last
-  snapshot text it built, one at a time, so the files of one FieldText
-  written one format after the other build each format's text once.
+* A repeated file is built once.  Snapshots are written format by format,
+  and `SnapshotText.file_text` keeps the last snapshot text it built, one
+  at a time, so it builds one text per run of equal states and format.
 """
 
 from __future__ import annotations
@@ -171,9 +171,9 @@ class SnapshotText:
 
     def file_text(self, field: FieldText, fmt: str, name: str) -> str:
         """_file_text of one of this text's fields, of which the last one
-        built is kept: the files of a run of equal states, which share one
-        FieldText, build each format's text once when they are written one
-        format after the other, and one text is held at a time."""
+        built is kept: when snapshots are written format by format, the
+        files of a run of equal states, which share one FieldText, build
+        one text per format, and one text is held at a time."""
         # keyed on the field's row, which makes the text with this
         # SnapshotText: holding the field would make a reference cycle,
         # which keeps both alive after the run until a garbage collection
@@ -273,7 +273,8 @@ def write_monitors_csv(record, path, metadata: dict | None = None) -> None:
 
 def write_sweep_csv(table: list, path, metadata: dict | None = None) -> None:
     """Write a table, rows of dicts sharing the same keys, under a header
-    of the keys; the one CSV table writer (sweep.csv, mms.csv, monitors)."""
+    of the keys; the one CSV table writer (sweep.csv, mms.csv, monitors).
+    An int cell is written as an integer, a bool as 0 or 1."""
     lines = _metadata_lines(metadata)
     if table:
         keys = list(table[0])
@@ -286,6 +287,8 @@ def write_sweep_csv(table: list, path, metadata: dict | None = None) -> None:
                     cells.append("")
                 elif isinstance(v, bool):
                     cells.append(str(int(v)))
+                elif isinstance(v, int):
+                    cells.append(str(v))
                 elif isinstance(v, str):
                     cells.append(v.replace(",", ";"))
                 else:

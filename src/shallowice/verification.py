@@ -167,6 +167,8 @@ class MmsTable:
 
     temporal: list  # (N, error) on the finest mesh
     spatial: list   # (nx, error) at the spatial study step count
+    mesh: int | None = None   # nx of the finest mesh, where the temporal rows ran
+    steps: int | None = None  # N of the spatial study, where the spatial rows ran
 
     @property
     def temporal_orders(self) -> list:
@@ -175,6 +177,14 @@ class MmsTable:
             float(np.log(e0 / e1) / np.log(n1 / n0))
             for (n0, e0), (n1, e1) in zip(self.temporal, self.temporal[1:])
         ]
+
+    def rows(self) -> list[dict]:
+        """The rows of mms.csv: the study, the nx and N each row ran at,
+        and its error."""
+        return ([{"study": "temporal", "nx": self.mesh, "N": N, "error": err}
+                 for N, err in self.temporal]
+                + [{"study": "spatial", "nx": nx, "N": self.steps, "error": err}
+                   for nx, err in self.spatial])
 
     def format(self) -> str:
         lines = ["temporal study (finest mesh):", "    N      error      order"]
@@ -200,12 +210,13 @@ def mms_convergence(case: MmsCase, p: float, mu: float, mesh_list, N_list,
     report order estimates log2(E(N)/E(2N)) between consecutive rows.
     Spatial rows run every mesh at spatial_N steps (default: the largest N
     in N_list), where the march is time-resolved enough for the spatial
-    error to dominate.  Every march uses the regularizations delta and eps;
-    a (mesh, N) pair in both studies, such as the finest mesh at spatial_N
-    by default, is marched once.
+    error to dominate.  Repeated sizes and step counts run once.  Every
+    march uses the regularizations delta and eps; a (mesh, N) pair in both
+    studies, such as the finest mesh at spatial_N by default, is marched
+    once.  The table labels each row with the mesh and N it ran at.
     """
-    sizes = sorted(int(n) for n in mesh_list)
-    Ns = sorted(int(n) for n in N_list)
+    sizes = sorted({int(n) for n in mesh_list})
+    Ns = sorted({int(n) for n in N_list})
     spatial_N = Ns[-1] if spatial_N is None else int(spatial_N)
 
     @functools.cache
@@ -216,7 +227,7 @@ def mms_convergence(case: MmsCase, p: float, mu: float, mesh_list, N_list,
 
     temporal = [(N, error(sizes[-1], N)) for N in Ns]
     spatial = [(size, error(size, spatial_N)) for size in sizes]
-    return MmsTable(temporal=temporal, spatial=spatial)
+    return MmsTable(temporal=temporal, spatial=spatial, mesh=sizes[-1], steps=spatial_N)
 
 
 # --- brute-force step oracle -------------------------------------------------
@@ -242,11 +253,14 @@ def _component_residual(problem: StepProblem, u, node, incident, grad_i, c):
         "td,td->t", g, mesh.grad_basis[incident, grad_i, :]
     )
     stiff = float(w @ gphi)
-    if problem.eps == 0.0:
-        phi_new = signed_power(c, params.alpha - 1.0)
-    else:
-        phi_new = (c * c + problem.eps**2) ** (0.5 * (params.alpha - 2.0)) * c
-    phi_prev = signed_power(problem.u_prev[node], params.alpha - 1.0)
+
+    def phi(v):
+        # the regularized time law of both states, so the time term telescopes
+        if problem.eps == 0.0:
+            return signed_power(v, params.alpha - 1.0)
+        return (v * v + problem.eps**2) ** (0.5 * (params.alpha - 2.0)) * v
+
+    phi_new, phi_prev = phi(c), phi(problem.u_prev[node])
     return (
         m * (phi_new - phi_prev) / problem.ell
         + stiff

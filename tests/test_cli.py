@@ -712,9 +712,10 @@ def test_run_formats_each_field_once(tmp_path, monkeypatch):
 
 
 def test_settled_run_builds_each_snapshot_text_once(tmp_path, monkeypatch):
-    # the saved states of a run of equal states share one text per format,
-    # built once and written to every file of the run, also when the
-    # stride skips states; H_final adds one text per format
+    # snapshots are written format by format, and the saved states of a
+    # run of equal states share one text per format, built once and written
+    # to every file of the run, also when the stride skips states; H_final
+    # adds one text per format
     import itertools
 
     import shallowice.snapshots as snapshots
@@ -743,7 +744,7 @@ def test_settled_run_builds_each_snapshot_text_once(tmp_path, monkeypatch):
             first.append(first[-1] if states[k].tobytes() == states[k - 1].tobytes() else k)
         runs = [list(run) for _, run in itertools.groupby(saved, first.__getitem__)]
         assert any(len(run) > 1 for run in runs)
-        assert builds == [(fmt, "u") for _ in runs for fmt in ("csv", "vtk")] + [
+        assert builds == [(fmt, "u") for fmt in ("csv", "vtk") for _ in runs] + [
             ("csv", "H"), ("vtk", "H")]
         for run in runs:
             for fmt in ("csv", "vtk"):
@@ -811,6 +812,25 @@ def test_mms_uses_the_config_regularizations(tmp_path):
             "version": __version__, "config": load_config(cfg)}
     assert rows[0][0] == rows[1][0]  # same header
     assert rows[0][1:] != rows[1][1:]
+
+
+def test_mms_rows_are_labelled_by_the_study(tmp_path):
+    # unsorted lists with a repeated step count: the temporal rows ran on
+    # the finest mesh (9) and the spatial rows at the largest N (4), each
+    # pair once, and integer cells are written as integers
+    cfg = write_config(tmp_path / "mms.json", tmp_path / "mms_out",
+                       time={"T": 0.25, "N": 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["mms", str(cfg), "--meshes", "9,5", "--steps", "4,2,2"]) == 0
+    text = (tmp_path / "mms_out" / "mms.csv").read_text(encoding="utf-8")
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    assert lines[0] == "study,nx,N,error"
+    rows = [l.split(",") for l in lines[1:]]
+    assert [r[:3] for r in rows] == [["temporal", "9", "2"], ["temporal", "9", "4"],
+                                     ["spatial", "5", "4"], ["spatial", "9", "4"]]
+    # the 9 x 9 mesh at N = 4 is a row of both studies
+    assert rows[1][3] == rows[3][3]
 
 
 def test_verify_command(capsys):

@@ -9,6 +9,7 @@ from shallowice import (
     StepProblem,
     TimeGrid,
     average_forcing,
+    build_mesh,
     initial_thickness_field,
     make_params,
     run,
@@ -17,6 +18,7 @@ from shallowice import (
     step_residual,
 )
 from shallowice.forcing import CallableForcing, GriddedForcing, LinearForcing
+from shallowice.physics import phi_power_reg
 
 
 def dome_params(mesh, forcing=None, amp=1.0, mu=0.05):
@@ -248,3 +250,18 @@ def test_settling_melt_reuses_only_repeated_steps(monkeypatch, mesh5):
     repeats = [n for n in range(1, grid.N) if states[n].tobytes() == states[n - 1].tobytes()]
     assert repeats and calls == grid.N - len(repeats)
     _assert_equals_direct_steps(traj, grid, 1e-6)
+
+
+@pytest.mark.parametrize("nx, N", [(33, 10), (65, 20)])
+def test_time_term_telescopes_to_a_conserved_volume(nx, N):
+    # flat bed, a = 0, and ice clear of the boundary: no forcing, penalty
+    # or boundary flux moves volume, so each step keeps sum m phi_eps(u) to
+    # rounding; with phi_0 on u_prev it drifts by about 1e-4 a step
+    mesh = build_mesh(nx, nx, 2.0, 2.0)
+    r = np.hypot(*(mesh.nodes - 1.0).T)
+    H0 = np.maximum(1.0 - (r / 0.6) ** (4.0 / 3.0), 0.0) ** (3.0 / 7.0)
+    params = make_params(mesh, 4.0, ConstantForcing(0.0), H0=H0, mu=1.0)
+    traj = run(mesh, params, TimeGrid(0.05, N), 1e-6)
+    volume = np.array([mesh.lumped_mass @ phi_power_reg(u, params.alpha, traj.eps)
+                       for u in traj.states])
+    assert np.all(np.abs(np.diff(volume)) <= 1e-12 * volume[:-1])
