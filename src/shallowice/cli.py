@@ -27,6 +27,7 @@ from .snapshots import (
     SnapshotText,
     read_run_metadata,
     read_states_csv,
+    state_runs,
     write_monitors_csv,
     write_run_metadata,
     write_snapshot,
@@ -95,25 +96,37 @@ def _provenance(config: dict, **extra) -> dict:
 def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
     """Write the files of a run and return its monitors.
 
-    What repeats is written from text made once: each distinct value of a
-    state is formatted once, a state that repeats its predecessor shares
-    its predecessor's FieldText, and the snapshots are written format by
-    format, so the SnapshotText memo builds one text per run of equal
-    states and format.
+    The states are written in one pass over their runs of equal states
+    (state_runs), and one state's text is held at a time: each run's state
+    is formatted once, each distinct value once, into the run's states.csv
+    rows, then the run's snapshots are written format by format, so the
+    SnapshotText memo builds one text per run and format, and the text is
+    dropped before the next run is formatted.
     """
     write_run_metadata(meta, outdir / "run_metadata.json")
     text = SnapshotText(setup.mesh, meta)
-    states = text.fields(traj.states)
-    write_states_csv(states, outdir / "states.csv", metadata=meta)
+    formats = setup.output["formats"]
+    saved = set(range(0, traj.N + 1, setup.output["stride"])) | {traj.N}
+
+    def rows():
+        # a run's snapshots are written when write_states_csv reads past
+        # the run's last row, so every file is complete when it returns
+        start = 0
+        for u, count in state_runs(traj.states):
+            field = text.field(u)
+            for _ in range(count):
+                yield field
+            steps = [n for n in range(start, start + count) if n in saved]
+            for fmt in formats:
+                for n in steps:
+                    write_snapshot(field, setup.mesh, outdir / f"u_{n:06d}.{fmt}", fmt,
+                                   name="u", metadata=meta)
+            start += count
+
+    write_states_csv(rows(), outdir / "states.csv", metadata=meta)
     record = compute_monitors(traj, setup.kappa)
     write_monitors_csv(record, outdir / "monitors.csv", metadata=meta)
 
-    formats = setup.output["formats"]
-    indices = sorted(set(range(0, traj.N + 1, setup.output["stride"])) | {traj.N})
-    for fmt in formats:
-        for n in indices:
-            write_snapshot(states[n], setup.mesh, outdir / f"u_{n:06d}.{fmt}", fmt,
-                           name="u", metadata=meta)
     # clip penalty-scale violations before the power transform
     H_final = text.field(
         thickness_from_u(np.maximum(traj.states[-1], 0.0), setup.params.p))

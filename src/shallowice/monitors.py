@@ -99,9 +99,8 @@ def check_sc1(traj: Trajectory, kappa: float) -> float:
     the first states of consecutive runs (state_runs) only.
     """
     m = traj.mesh.lumped_mass
-    firsts, _ = state_runs(traj.states)
     total = 0.0
-    for un, un1 in itertools.pairwise(firsts):
+    for (un, _), (un1, _) in itertools.pairwise(state_runs(traj.states)):
         total += float(m @ (neg_part(un1) * (un1 - un)))
     return total / kappa
 
@@ -135,20 +134,32 @@ def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
     # each term of a state is computed once per run of equal states and
     # repeated over the run, so the sums and maxima see the same values; a
     # repeated state adds an exact 0 to the increment sum of est3
-    firsts, counts = state_runs(traj.states)
-    distinct = list(firsts)
+    distinct, counts = zip(*state_runs(traj.states))
 
     def per_state(term):
         return np.repeat([term(u) for u in distinct], counts)
 
     la_pows = per_state(lambda u: float(m @ np.abs(u) ** alpha))
     w1p_pows = per_state(lambda u: w1p_seminorm_pow(mesh, u, p))
-    half = [signed_power(u, 0.5 * alpha) for u in distinct]
+
+    # the half-power w = |u|^((a-2)/2) u of each distinct state is made
+    # once, in order, and dropped after its increment to the next one, so
+    # one pair of half-powers is held at a time
+    half_sq = []
+
+    def halves():
+        for u in distinct:
+            w = signed_power(u, 0.5 * alpha)
+            half_sq.append(float(m @ w**2))
+            yield w
+
+    def increment(a, b):
+        return float(m @ ((b - a) / ell) ** 2)
 
     est1 = float(np.max(la_pows) ** (1.0 / alpha))
     est2 = float(ell * np.sum(w1p_pows))
-    est3 = float(ell * sum(float(m @ ((b - a) / ell) ** 2) for a, b in zip(half, half[1:])))
-    est3_1 = float(np.sqrt(max(float(m @ w**2) for w in half)))
+    est3 = float(ell * sum(itertools.starmap(increment, itertools.pairwise(halves()))))
+    est3_1 = float(np.sqrt(max(half_sq)))
     est4 = float(np.max(w1p_pows) ** (1.0 / p))
     est5_1 = max(
         lq_norm(mesh, signed_power(u, alpha - 1.0), alpha_conj) for u in distinct

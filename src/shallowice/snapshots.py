@@ -26,12 +26,13 @@ Repetition costs only what is new, by three rules:
   predecessor's state, and `state_runs` is the one rule for such a repeat:
   it splits a sequence into runs of consecutive items with equal keys, a
   state's bytes or a `states.csv` row's text after its step cell.
-  `SnapshotText.fields` gives each run one FieldText, `read_states_csv`
-  parses the first row of each run, and the monitors compute each term
-  once per run.
-* A repeated file is built once.  Snapshots are written format by format,
-  and `SnapshotText.file_text` keeps the last snapshot text it built, one
-  at a time, so it builds one text per run of equal states and format.
+  The CLI makes one FieldText per run, `read_states_csv` parses the first
+  row of each run, and the monitors compute each term once per run.
+* A repeated file is built once.  A run's outputs are written in one pass
+  over its runs of equal states: each run's `states.csv` rows, then its
+  snapshots, format by format.  `SnapshotText.file_text` keeps the last
+  snapshot text it built, so it builds one text per run and format, and
+  one state's text is held at a time.
 """
 
 from __future__ import annotations
@@ -82,22 +83,14 @@ def _fmt_array(a) -> list[str]:
 
 
 def state_runs(items, key=np.ndarray.tobytes):
-    """The first item of each run of consecutive items with equal keys, and
-    the run lengths; by default the items are states keyed by their bytes.
+    """(first item, run length) of each run of consecutive items with equal
+    keys; by default the items are states keyed by their bytes.
 
-    Returns (firsts, counts).  firsts is an iterator that reads the items
-    only as far as the run it yields, so a file streams through it; counts
-    grows as firsts is consumed and holds every run length once firsts is
-    exhausted.
+    A generator that reads the items only as far as the end of the run it
+    yields, and one item past it, so a file streams through it.
     """
-    counts = []
-
-    def firsts():
-        for _, run in itertools.groupby(items, key):
-            yield next(run)
-            counts.append(1 + sum(1 for _ in run))
-
-    return firsts(), counts
+    for _, run in itertools.groupby(items, key):
+        yield next(run), 1 + sum(1 for _ in run)
 
 
 def _metadata_lines(metadata: dict | None) -> list[str]:
@@ -121,13 +114,6 @@ class SnapshotText:
 
     def field(self, values) -> FieldText:
         return FieldText(self, values)
-
-    def fields(self, states) -> list[FieldText]:
-        """The FieldTexts of a sequence of states, where each run of equal
-        states (state_runs) shares the FieldText of its first state."""
-        firsts, counts = state_runs(map(self.field, states), lambda f: f.values.tobytes())
-        firsts = list(firsts)
-        return [field for field, count in zip(firsts, counts) for _ in range(count)]
 
     @cached_property
     def csv_head(self) -> str:
@@ -171,9 +157,9 @@ class SnapshotText:
 
     def file_text(self, field: FieldText, fmt: str, name: str) -> str:
         """_file_text of one of this text's fields, of which the last one
-        built is kept: when snapshots are written format by format, the
-        files of a run of equal states, which share one FieldText, build
-        one text per format, and one text is held at a time."""
+        built is kept: when the files of a run of equal states, which share
+        one FieldText, are written format by format, each format's text is
+        built once, and one text is held at a time."""
         # keyed on the field's row, which makes the text with this
         # SnapshotText: holding the field would make a reference cycle,
         # which keeps both alive after the run until a garbage collection
@@ -297,16 +283,27 @@ def write_sweep_csv(table: list, path, metadata: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_states_csv(states: list, path, metadata: dict | None = None) -> None:
+def write_states_csv(states, path, metadata: dict | None = None) -> None:
     """Dump the full state sequence, one row per time level, streamed to
-    the file row by row.  states: nodal arrays or FieldTexts."""
+    the file row by row.  states: an iterable of nodal arrays or FieldTexts,
+    read one at a time; the first is read before the file is opened, so an
+    empty one raises ValueError and writes no file."""
+    states = iter(states)
+    u = next(states, None)
+    if u is None:
+        raise ValueError(f"{path}: no states to write")
     with open(path, "w", encoding="utf-8") as fh:
         for line in _metadata_lines(metadata):
             fh.write(line + "\n")
-        fh.write("step," + ",".join(f"node{i}" for i in range(len(states[0]))) + "\n")
-        for n, u in enumerate(states):
-            row = u.row if isinstance(u, FieldText) else ",".join(_fmt_array(u))
-            fh.write(f"{n},{row}\n")
+        fh.write("step," + ",".join(f"node{i}" for i in range(len(u))) + "\n")
+        fh.write(f"0,{_state_row(u)}\n")
+        # u is rebound to each state as it is read, which drops the one before
+        for n, u in enumerate(states, 1):
+            fh.write(f"{n},{_state_row(u)}\n")
+
+
+def _state_row(u) -> str:
+    return u.row if isinstance(u, FieldText) else ",".join(_fmt_array(u))
 
 
 def _data_lines(fh):
@@ -329,7 +326,9 @@ def read_states_csv(path) -> list:
 
     Only data lines are read (_data_lines).  Each run of rows whose text
     after the step column repeats (state_runs) is parsed once; every step
-    cell must still be a number.  Each returned array is a row of its own.
+    cell must still be a number.  Each returned array is independent of
+    the others: the first of a run is a row of the parsed table, and each
+    repeat a copy of that row.
     """
     with open(path, encoding="utf-8") as fh:
         rows = _data_lines(fh)
@@ -337,12 +336,18 @@ def read_states_csv(path) -> list:
         # checked here, since loadtxt only warns on a file without data rows
         if first is None:
             raise ValueError(f"{path}: no state rows found")
-        firsts, counts = state_runs(itertools.chain([first], rows), _row_values)
-        table = np.loadtxt(firsts, delimiter=",", ndmin=2)
-    # one copy per step rather than one (N + 1) x n table: a block that
-    # large, allocated once per read, lands past the free space of the heap
-    # on some runs and raises the peak memory by its size
-    return [row.copy() for row, count in zip(table[:, 1:], counts) for _ in range(count)]
+        runs = state_runs(itertools.chain([first], rows), _row_values)
+        counts = []
+
+        def firsts():
+            for line, count in runs:
+                counts.append(count)
+                yield line
+
+        table = np.loadtxt(firsts(), delimiter=",", ndmin=2)
+    # the first state of a run is its row of the table, a repeat a copy of it
+    return [row if k == 0 else row.copy()
+            for row, count in zip(table[:, 1:], counts) for k in range(count)]
 
 
 def write_run_metadata(metadata: dict, path) -> None:

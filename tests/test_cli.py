@@ -712,10 +712,10 @@ def test_run_formats_each_field_once(tmp_path, monkeypatch):
 
 
 def test_settled_run_builds_each_snapshot_text_once(tmp_path, monkeypatch):
-    # snapshots are written format by format, and the saved states of a
-    # run of equal states share one text per format, built once and written
-    # to every file of the run, also when the stride skips states; H_final
-    # adds one text per format
+    # the snapshots of each run of equal states are written format by
+    # format, before the next run's: the run's saved states share one text
+    # per format, built once and written to every file of the run, also
+    # when the stride skips states; H_final adds one text per format
     import itertools
 
     import shallowice.snapshots as snapshots
@@ -744,12 +744,57 @@ def test_settled_run_builds_each_snapshot_text_once(tmp_path, monkeypatch):
             first.append(first[-1] if states[k].tobytes() == states[k - 1].tobytes() else k)
         runs = [list(run) for _, run in itertools.groupby(saved, first.__getitem__)]
         assert any(len(run) > 1 for run in runs)
-        assert builds == [(fmt, "u") for fmt in ("csv", "vtk") for _ in runs] + [
+        assert builds == [(fmt, "u") for _ in runs for fmt in ("csv", "vtk")] + [
             ("csv", "H"), ("vtk", "H")]
         for run in runs:
             for fmt in ("csv", "vtk"):
                 first = (out / f"u_{run[0]:06d}.{fmt}").read_bytes()
                 assert all((out / f"u_{n:06d}.{fmt}").read_bytes() == first for n in run)
+
+
+def test_settled_run_holds_one_state_text_at_a_time(tmp_path, monkeypatch):
+    # a run's outputs are written in one pass over its runs of equal
+    # states, and the text of each run is dropped before the next run is
+    # formatted: whenever a snapshot is written, at most two FieldTexts are
+    # alive, however many runs the states make
+    import itertools
+    import weakref
+
+    import shallowice.cli as cli_module
+    import shallowice.snapshots as snapshots
+    from shallowice.snapshots import read_states_csv
+
+    alive = weakref.WeakSet()
+    counts = []
+    field = snapshots.SnapshotText.field
+
+    def tracked(text, values):
+        made = field(text, values)
+        alive.add(made)
+        return made
+
+    write_snapshot = cli_module.write_snapshot
+
+    def counted(*args, **kwargs):
+        counts.append(len(alive))
+        return write_snapshot(*args, **kwargs)
+
+    monkeypatch.setattr(snapshots.SnapshotText, "field", tracked)
+    monkeypatch.setattr(cli_module, "write_snapshot", counted)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.json", out,
+                       initial={"preset": "dome", "amplitude": 0.8},
+                       forcing={"preset": "melt", "rate": -2.0},
+                       time={"T": 2.0, "N": 40},
+                       physics={"p": 3.0, "rho_g": 3.0, "A_const": 1.0, "mu": 1.0},
+                       output={"directory": str(out), "stride": 1,
+                               "formats": ["csv", "vtk"]})
+    assert cli(["run", str(cfg)]) == 0
+    assert len(counts) == 2 * 41 + 2
+    assert 1 <= max(counts) <= 2
+    states = read_states_csv(out / "states.csv")
+    runs = 1 + sum(a.tobytes() != b.tobytes() for a, b in itertools.pairwise(states))
+    assert runs > 2
 
 
 def test_run_melt_writes_clipped_thickness(tmp_path):

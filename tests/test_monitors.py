@@ -292,7 +292,7 @@ def test_monitors_compute_each_state_once(monkeypatch, mesh9):
     monkeypatch.setattr(monitors, "neg_part", counted_neg)
     assert check_sc1(traj, 1e-3) == rec.sc1_value
     assert len(negs) == distinct - 1
-    monkeypatch.setattr(monitors, "state_runs", lambda s: (list(s), [1] * len(s)))
+    monkeypatch.setattr(monitors, "state_runs", lambda s: ((u, 1) for u in s))
     by_state = compute_monitors(traj, 1e-3)
     assert len(calls) == distinct + len(states)
     assert list(map(repr, rec.as_dict().values())) == list(map(repr, by_state.as_dict().values()))

@@ -11,6 +11,7 @@ from shallowice.snapshots import (
     SnapshotText,
     read_field_csv,
     read_states_csv,
+    state_runs,
     write_monitors_csv,
     write_states_csv,
 )
@@ -218,9 +219,10 @@ def test_repeated_values_format_as_repr_of_each(tmp_path):
 
 
 def test_snapshot_text_is_built_once_per_run_and_format(tmp_path, mesh3, monkeypatch):
-    # the files of a run of equal states, written one format after the
-    # other, build each format's text once; writing another field or format
-    # in between builds it again, since one text is held at a time
+    # the files of a run of equal states (state_runs), which share one
+    # FieldText, written one format after the other, build each format's
+    # text once; writing another field or format in between builds
+    # it again, since one text is held at a time
     import shallowice.snapshots as snapshots
 
     builds = []
@@ -228,20 +230,24 @@ def test_snapshot_text_is_built_once_per_run_and_format(tmp_path, mesh3, monkeyp
     monkeypatch.setattr(snapshots, "_file_text",
                         lambda *args: builds.append(args[1:]) or file_text(*args))
     a, b = np.zeros(9), np.arange(9.0)
-    states = SnapshotText(mesh3).fields([a, a, b, b, b, a])
-    runs = [[0, 1], [2, 3, 4], [5]]
-    for run in runs:
+    text = SnapshotText(mesh3)
+    runs = [(text.field(u), count) for u, count in state_runs([a, a, b, b, b, a])]
+    assert [count for _, count in runs] == [2, 3, 1]
+    start = 0
+    for field, count in runs:
         for fmt in ("csv", "vtk"):
-            for n in run:
-                write_snapshot(states[n], mesh3, tmp_path / f"u_{n}.{fmt}", fmt)
+            for n in range(start, start + count):
+                write_snapshot(field, mesh3, tmp_path / f"u_{n}.{fmt}", fmt)
+        start += count
     assert builds == [(fmt, "u") for _ in runs for fmt in ("csv", "vtk")]
     for fmt in ("csv", "vtk"):
         files = [(tmp_path / f"u_{n}.{fmt}").read_bytes() for n in range(6)]
         assert files[0] == files[1] == files[5] != files[2] == files[3] == files[4]
     builds.clear()
-    write_snapshot(states[0], mesh3, tmp_path / "again.csv", "csv")
-    write_snapshot(states[0], mesh3, tmp_path / "again.vtk", "vtk", name="H")
-    write_snapshot(states[0], mesh3, tmp_path / "again.csv", "csv")
+    first = runs[0][0]
+    write_snapshot(first, mesh3, tmp_path / "again.csv", "csv")
+    write_snapshot(first, mesh3, tmp_path / "again.vtk", "vtk", name="H")
+    write_snapshot(first, mesh3, tmp_path / "again.csv", "csv")
     assert builds == [("csv", "u"), ("vtk", "H"), ("csv", "u")]
 
 
@@ -301,14 +307,43 @@ def test_repeated_field_is_formatted_once(tmp_path, mesh3, monkeypatch):
     field = np.resize(np.array(AWKWARD), mesh3.n_nodes)
     positive = np.where(field == 0.0, 0.0, field)
     assert positive.tobytes() != field.tobytes() and np.array_equal(positive, field)
-    states = SnapshotText(mesh3).fields([field, field.copy(), positive, positive, field])
-    assert states[1] is states[0] and states[3] is states[2]
-    assert len({id(s) for s in states}) == 3
-    write_states_csv(states, tmp_path / "states.csv")
+    states = [field, field.copy(), positive, positive, field]
+    text = SnapshotText(mesh3)
+    runs = [(text.field(u), count) for u, count in state_runs(states)]
+    assert [count for _, count in runs] == [2, 2, 1]
+    write_states_csv((f for f, count in runs for _ in range(count)), tmp_path / "states.csv")
     assert len(calls) == 3
     back = read_states_csv(tmp_path / "states.csv")
-    assert [u.tobytes() for u in back] == [s.values.tobytes() for s in states]
+    assert [u.tobytes() for u in back] == [u.tobytes() for u in states]
     assert back[0].tobytes() != back[2].tobytes()
+
+
+def test_states_written_from_an_iterator(tmp_path, mesh3):
+    # write_states_csv reads its states one at a time: a generator of
+    # arrays or of FieldTexts writes the bytes of a list of them
+    rng = np.random.default_rng(4)
+    states = [rng.standard_normal(9) for _ in range(3)]
+    states.insert(2, states[1])
+    metadata = {"N": 3}
+    text = SnapshotText(mesh3, metadata)
+    for kind, values in (("numeric", states), ("text", [text.field(u) for u in states])):
+        listed, streamed = tmp_path / f"{kind}_list.csv", tmp_path / f"{kind}_gen.csv"
+        write_states_csv(values, listed, metadata=metadata)
+        write_states_csv((u for u in values), streamed, metadata=metadata)
+        assert streamed.read_bytes() == listed.read_bytes()
+        assert [u.tobytes() for u in read_states_csv(streamed)] == [
+            u.tobytes() for u in states]
+
+
+def test_states_need_a_state(tmp_path):
+    # no states: a ValueError that names the file, and no file
+    import re
+
+    path = tmp_path / "states.csv"
+    for states in ([], (u for u in [])):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_states_csv(states, path)
+        assert not path.exists()
 
 
 def test_states_read_repeated_rows(tmp_path):
