@@ -305,6 +305,10 @@ def _cmd_monitors(args) -> int:
     if len(states) != grid.N + 1 or any(u.shape != (mesh.n_nodes,) for u in states):
         raise ConfigError(f"{outdir}: states.csv needs {grid.N + 1} rows of "
                           f"{mesh.n_nodes} values, as run_metadata.json says")
+    bad = next((n for n, u in enumerate(states) if not np.isfinite(u).all()), None)
+    if bad is not None:
+        raise ConfigError(f"{outdir}: the states.csv row of step {bad} holds a "
+                          "non-finite value")
     # monitors depend on p but not on the forcing or mu, so those are
     # placeholders; the run gave these two warnings when it was made
     try:

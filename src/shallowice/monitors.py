@@ -181,24 +181,31 @@ def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
 
 
 def _as_time_samples(traj: Trajectory, v) -> np.ndarray:
+    """The admissible test field v as one nodal field per slab, checked as
+    given: a 1-D field is broadcast, and so holds no (N, n) memory."""
     v = np.asarray(v, dtype=float)
     n_nodes = traj.mesh.n_nodes
     if v.ndim == 1:
         if v.shape != (n_nodes,):
             raise ValueError(f"test field must have {n_nodes} nodal values")
-        return np.broadcast_to(v, (traj.N, n_nodes))
-    if v.shape != (traj.N, n_nodes):
+    elif v.shape != (traj.N, n_nodes):
         raise ValueError(
             f"time-sampled test field must have shape ({traj.N}, {n_nodes})"
         )
-    return v
+    if not np.all(np.isfinite(v)):
+        raise ValueError("test fields must be finite")
+    if np.min(v) < 0.0:
+        raise ValueError("test fields must be nonnegative")
+    if np.any(v[..., traj.mesh.boundary_mask] != 0.0):
+        raise ValueError("test fields must vanish on the boundary")
+    return np.broadcast_to(v, (traj.N, n_nodes))
 
 
 def vi_residual(traj: Trajectory, test_family) -> float:
     """Residual of the limiting variational inequality over a test family.
 
-    For each admissible test field v (nonnegative, zero boundary, sampled
-    once per slab) the evaluation is LHS - RHS of
+    For each admissible test field v (finite, nonnegative, zero boundary,
+    sampled once per slab) the evaluation is LHS - RHS of
 
         sum_n sum_i m_i (phi(u^(n+1)_i) - phi(u^n_i)) v^n_i
           + ell sum_n int mu |grad u^(n+1)|^(p-2) grad u^(n+1) . grad(v^n - u^(n+1))
@@ -210,14 +217,15 @@ def vi_residual(traj: Trajectory, test_family) -> float:
     regularization the trajectory was computed with.
 
     Every term is linear in v: with S(u) the nodal stiffness action, the
-    gradient integral of slab n is S(u^(n+1)) . (v^n - u^(n+1)).  So the
-    trajectory is reduced once to an (N, n) coefficient array
+    gradient integral of slab n is S(u^(n+1)) . (v^n - u^(n+1)).  So slab n
+    reduces to one scalar and the coefficients
 
-        C^n = m (phi(u^(n+1)) - phi(u^n)) + ell (S(u^(n+1)) - m abar^n)
+        C^n = m (phi(u^(n+1)) - phi(u^n)) + ell (S(u^(n+1)) - m abar^n),
 
-    and one scalar, and each test field costs the sum of C^n_i v^n_i, with
-    no gradient pass.  Returns the minimum over the family; a value above
-    -tol certifies the discrete inequality.
+    which are held one slab at a time: each test field adds C^n . v^n to
+    its pairing, one weighted sum per slab and no gradient pass.  Returns
+    the minimum over the family; a value above -tol certifies the discrete
+    inequality.
     """
     mesh = traj.mesh
     params = traj.params
@@ -226,19 +234,12 @@ def vi_residual(traj: Trajectory, test_family) -> float:
     m = mesh.lumped_mass
     alpha_conj = alpha / (alpha - 1.0)
 
-    samples = []
-    for v in test_family:
-        vv = _as_time_samples(traj, v)
-        if np.min(vv) < 0.0:
-            raise ValueError("test fields must be nonnegative")
-        if np.any(vv[:, mesh.boundary_mask] != 0.0):
-            raise ValueError("test fields must vanish on the boundary")
-        samples.append(vv)
+    samples = [_as_time_samples(traj, v) for v in test_family]
+    pairings = [0.0] * len(samples)
 
     la0 = float(m @ np.abs(traj.states[0]) ** alpha)
     laN = float(m @ np.abs(traj.states[-1]) ** alpha)
     constant = -(laN - la0) / alpha_conj
-    coef = np.empty((traj.N, mesh.n_nodes))
     phi_prev = signed_power(traj.states[0], alpha - 1.0)
     for n in range(traj.N):
         u_next = traj.states[n + 1]
@@ -247,11 +248,11 @@ def vi_residual(traj: Trajectory, test_family) -> float:
         flux = ell * (stiffness_vector(mesh, g, weight) - m * a_bar)
         constant -= float(flux @ u_next)
         phi_next = signed_power(u_next, alpha - 1.0)
-        coef[n] = m * (phi_next - phi_prev) + flux
+        coef = m * (phi_next - phi_prev) + flux
+        pairings = [s + float(coef @ vv[n]) for s, vv in zip(pairings, samples)]
         phi_prev = phi_next
 
-    return float(min((constant + float(np.einsum("ij,ij->", coef, vv)) for vv in samples),
-                     default=np.inf))
+    return min((constant + s for s in pairings), default=np.inf)
 
 
 @dataclass

@@ -214,6 +214,7 @@ def write_snapshot(field, mesh: StructuredMesh, path, fmt: str,
 
     field: nodal values, or a FieldText of a SnapshotText built from this
     mesh and metadata (the same objects), whose text is then reused.
+    path: a str or path-like object, opened as given.
     """
     if isinstance(field, FieldText):
         if field.text.mesh is not mesh or field.text.metadata is not metadata:
@@ -222,9 +223,9 @@ def write_snapshot(field, mesh: StructuredMesh, path, fmt: str,
     else:
         field = SnapshotText(mesh, metadata).field(field)
     content = field.text.file_text(field, fmt, name)
-    path = Path(path)
     try:
-        path.write_text(content, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
     except OSError as err:
         raise OSError(f"cannot write snapshot {path}: {err}") from err
 

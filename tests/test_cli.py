@@ -625,13 +625,17 @@ def test_monitors_rejects_broken_run_dir(tmp_path, capsys):
     meta = (out / "run_metadata.json").read_text(encoding="utf-8")
     states = (out / "states.csv").read_text(encoding="utf-8")
     lines = states.splitlines(keepends=True)
+    cells = lines[-1].split(",")
+    cells[1 + 24] = "nan"  # node 24 is the center of the 7 x 7 mesh
     broken = {
         # N = 3 steps, but only 3 of the 4 states
         "states.csv": ["".join(lines[:-1]),
                        # one value short in the last row
                        "".join(lines[:-1]) + lines[-1].rsplit(",", 1)[0] + "\n",
                        # a non-numeric cell
-                       "".join(lines[:-1]) + lines[-1].replace(",", ",abc,", 1)],
+                       "".join(lines[:-1]) + lines[-1].replace(",", ",abc,", 1),
+                       # a non-finite value in an interior cell
+                       "".join(lines[:-1]) + ",".join(cells)],
         "run_metadata.json": [meta[: len(meta) // 2], "[]", "{}"],
     }
     for name, texts in broken.items():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from shallowice import (
     MeltForcing,
     TimeGrid,
     average_forcing,
+    build_mesh,
     compute_monitors,
     initial_thickness_field,
     kappa_sweep,
@@ -185,6 +187,33 @@ def test_vi_residual_rejects_bad_fields(mesh9):
         vi_residual(traj, [np.ones(mesh9.n_nodes)])  # boundary violation
     with pytest.raises(ValueError):
         vi_residual(traj, [np.zeros(3)])
+    bump = zero_boundary(mesh9, poly_bump(mesh9))
+    center = mesh9.n_nodes // 2
+    nan_field, inf_field = bump.copy(), bump.copy()
+    nan_field[center] = np.nan
+    inf_field[center] = np.inf
+    # a non-finite field is rejected wherever it sits in the family
+    for family in ([nan_field], [inf_field], [bump, nan_field]):
+        with pytest.raises(ValueError, match="finite"):
+            vi_residual(traj, family)
+
+
+def test_vi_residual_holds_one_slab_at_a_time():
+    # a 1-D test field is broadcast over the slabs, so the family holds no
+    # (N, n) memory, and neither may vi_residual: it pairs the coefficients
+    # of one slab at a time
+    mesh = build_mesh(33, 33, 1.0, 1.0)
+    traj = melt_traj(mesh, T=2.0, N=80, rate=-2.0, mu=1.0)
+    bump = zero_boundary(mesh, poly_bump(mesh))
+    family = [bump, 0.5 * bump, np.zeros(mesh.n_nodes)]
+    tracemalloc.start()
+    try:
+        res = vi_residual(traj, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(res)
+    assert peak < 0.5 * traj.N * mesh.n_nodes * 8
 
 
 def test_kappa_sweep_inactive_penalty(mesh5):
