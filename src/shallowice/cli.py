@@ -305,10 +305,6 @@ def _cmd_monitors(args) -> int:
     if len(states) != grid.N + 1 or any(u.shape != (mesh.n_nodes,) for u in states):
         raise ConfigError(f"{outdir}: states.csv needs {grid.N + 1} rows of "
                           f"{mesh.n_nodes} values, as run_metadata.json says")
-    bad = next((n for n, u in enumerate(states) if not np.isfinite(u).all()), None)
-    if bad is not None:
-        raise ConfigError(f"{outdir}: the states.csv row of step {bad} holds a "
-                          "non-finite value")
     # monitors depend on p but not on the forcing or mu, so those are
     # placeholders; the run gave these two warnings when it was made
     try:
@@ -322,9 +318,12 @@ def _cmd_monitors(args) -> int:
                           f"initial state: {err}") from err
     traj = Trajectory(
         states=states, step_diagnostics=[], time_grid=grid, mesh=mesh,
-        params=params, kappa=pen["kappa"], delta=pen["delta"], eps=pen["eps"],
+        params=params, delta=pen["delta"], eps=pen["eps"],
     )
-    record = compute_monitors(traj, traj.kappa)
+    try:
+        record = compute_monitors(traj, pen["kappa"])
+    except ValueError as err:  # a non-finite state
+        raise ConfigError(f"{outdir}: states.csv: {err}") from err
     write_monitors_csv(record, outdir / "monitors_recomputed.csv", metadata=meta)
     for key, value in record.as_dict().items():
         print(f"  {key:16s} {value}")

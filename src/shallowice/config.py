@@ -93,6 +93,8 @@ class _Section:
 
     def __init__(self, name: str, raw: dict):
         if not isinstance(raw, dict):
+            if not name:
+                raise ConfigError("the configuration must be a JSON object")
             raise ValidationError(name, "must be a JSON object")
         self.name = name
         self.raw = raw
@@ -157,8 +159,9 @@ def parse_config(document: str | dict) -> dict:
     literals NaN, Infinity and -Infinity, which json.loads would take, are
     rejected, and so is a numeral that overflows to infinity, such as 1e999.
     JSON integers are unbounded, so sizes no run can build are rejected too:
-    nx * ny beyond the index range of numpy, and a step T / N that is not
-    a positive float.
+    nx * ny beyond the index range of numpy, a triangle area
+    (Lx / (nx - 1)) (Ly / (ny - 1)) / 2 and a step T / N that are not
+    positive finite floats.
     """
     raw = document
     if isinstance(document, str):
@@ -178,6 +181,10 @@ def parse_config(document: str | dict) -> dict:
     dom.reject_unknown()
     if domain["nx"] * domain["ny"] > np.iinfo(np.intp).max:
         raise ValidationError("domain", "nx * ny nodes are more than numpy can index")
+    # a tiny or huge domain's triangle area underflows to 0 or overflows
+    area = domain["Lx"] / (domain["nx"] - 1) * (domain["Ly"] / (domain["ny"] - 1)) / 2
+    if not 0.0 < area < np.inf:
+        raise ValidationError("domain", "the triangle area must be a positive finite float")
 
     tim = _Section("time", top.require("time", dict))
     time = {

@@ -66,6 +66,10 @@ class StructuredMesh:
             raise ValueError(f"edge lengths must be positive, got ({Lx}, {Ly})")
         self.nx, self.ny = nx, ny = int(nx), int(ny)
         self.Lx, self.Ly = Lx, Ly = float(Lx), float(Ly)
+        # checked on floats, so that no array overflows or underflows
+        if not 0.0 < Lx / (nx - 1) * (Ly / (ny - 1)) / 2 < np.inf:
+            raise ValueError(f"the triangle area of a ({Lx}, {Ly}) domain on "
+                             f"({nx}, {ny}) nodes is not a positive finite float")
 
         X, Y = np.meshgrid(np.linspace(0.0, Lx, nx), np.linspace(0.0, Ly, ny))
         self.nodes = np.column_stack([X.ravel(), Y.ravel()])

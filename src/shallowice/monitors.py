@@ -12,13 +12,14 @@ penalty should leave them nearly unchanged; the kappa sweep tracks the
 vanishing of the negative part as the penalty tightens.
 
 A run that settles repeats its state.  `snapshots.state_runs`, the one
-rule for a repeated state, splits the states into runs of equal bytes, and
-each term of a state is computed once per run.
+rule for a repeated state, splits the states into runs of equal bytes.
+compute_monitors walks these runs once, takes each run's terms once, and
+holds one previous state, half-power and negative part; it rejects a
+trajectory with a non-finite state.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -34,8 +35,6 @@ __all__ = [
     "lq_norm",
     "w1p_seminorm_pow",
     "compute_monitors",
-    "check_sc1",
-    "check_sc1_prime",
     "vi_residual",
     "SweepRow",
     "SweepResult",
@@ -92,38 +91,17 @@ class MonitorRecord:
         return asdict(self)
 
 
-def check_sc1(traj: Trajectory, kappa: float) -> float:
-    """Stability sum (1/kappa) sum_n sum_i m_i {u^(n+1)_i}^- (u^(n+1)_i - u^n_i).
-
-    A state equal to its predecessor adds an exact 0, so the sum runs over
-    the first states of consecutive runs (state_runs) only.
-    """
-    m = traj.mesh.lumped_mass
-    total = 0.0
-    for (un, _), (un1, _) in itertools.pairwise(state_runs(traj.states)):
-        total += float(m @ (neg_part(un1) * (un1 - un)))
-    return total / kappa
-
-
-def check_sc1_prime(traj: Trajectory):
-    """Nodewise check that the negative part never shrinks between steps.
-
-    A true flag is the computable signature of a monotonically deepening
-    constraint violation (nothing that has gone below the obstacle comes
-    back up); a shrink by at most SC1_PRIME_TOL is ignored.  Returns
-    (flag, first violating step index or None).
-    """
-    prev = neg_part(traj.states[0])
-    for n in range(traj.N):
-        cur = neg_part(traj.states[n + 1])
-        if np.any(cur < prev - SC1_PRIME_TOL):
-            return False, n
-        prev = cur
-    return True, None
-
-
 def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
-    """Evaluate every monitored quantity on a finished trajectory."""
+    """Evaluate every monitored quantity on a finished trajectory.
+
+    One walk over the runs of equal states (state_runs) takes each run's
+    terms once and holds one previous state, half-power w = |u|^((a-2)/2) u
+    and negative part for the est3 and sc1 increments and the sc1' check; a
+    state equal to its predecessor adds an exact 0 to both sums and cannot
+    shrink the negative part.  The per-state scalars are repeated over their
+    runs for the sums, so these see the values of a state-by-state walk.
+    Raises ValueError naming the step of the first non-finite state.
+    """
     mesh = traj.mesh
     alpha = traj.params.alpha
     p = traj.params.p
@@ -131,52 +109,42 @@ def compute_monitors(traj: Trajectory, kappa: float) -> MonitorRecord:
     m = mesh.lumped_mass
     alpha_conj = alpha / (alpha - 1.0)
 
-    # each term of a state is computed once per run of equal states and
-    # repeated over the run, so the sums and maxima see the same values; a
-    # repeated state adds an exact 0 to the increment sum of est3
-    distinct, counts = zip(*state_runs(traj.states))
+    counts, la_pows, w1p_pows, half_sq, conj_norms, neg_sq = ([] for _ in range(6))
+    est3_sum = sc1_sum = 0.0
+    sc1_prime_ok = True
+    prev = None
+    for u, count in state_runs(traj.states):
+        if not np.isfinite(u).all():
+            raise ValueError(f"the state of step {sum(counts)} holds a non-finite value")
+        w = signed_power(u, 0.5 * alpha)
+        neg = neg_part(u)
+        counts.append(count)
+        la_pows.append(float(m @ np.abs(u) ** alpha))
+        w1p_pows.append(w1p_seminorm_pow(mesh, u, p))
+        half_sq.append(float(m @ w**2))
+        conj_norms.append(lq_norm(mesh, signed_power(u, alpha - 1.0), alpha_conj))
+        neg_sq.append(float(m @ neg**2))
+        if prev is not None:
+            u_prev, w_prev, neg_prev = prev
+            est3_sum += float(m @ ((w - w_prev) / ell) ** 2)
+            sc1_sum += float(m @ (neg * (u - u_prev)))
+            # a shrink by at most SC1_PRIME_TOL is ignored
+            sc1_prime_ok = sc1_prime_ok and not np.any(neg < neg_prev - SC1_PRIME_TOL)
+        prev = u, w, neg
 
-    def per_state(term):
-        return np.repeat([term(u) for u in distinct], counts)
-
-    la_pows = per_state(lambda u: float(m @ np.abs(u) ** alpha))
-    w1p_pows = per_state(lambda u: w1p_seminorm_pow(mesh, u, p))
-
-    # the half-power w = |u|^((a-2)/2) u of each distinct state is made
-    # once, in order, and dropped after its increment to the next one, so
-    # one pair of half-powers is held at a time
-    half_sq = []
-
-    def halves():
-        for u in distinct:
-            w = signed_power(u, 0.5 * alpha)
-            half_sq.append(float(m @ w**2))
-            yield w
-
-    def increment(a, b):
-        return float(m @ ((b - a) / ell) ** 2)
-
-    est1 = float(np.max(la_pows) ** (1.0 / alpha))
-    est2 = float(ell * np.sum(w1p_pows))
-    est3 = float(ell * sum(itertools.starmap(increment, itertools.pairwise(halves()))))
-    est3_1 = float(np.sqrt(max(half_sq)))
-    est4 = float(np.max(w1p_pows) ** (1.0 / p))
-    est5_1 = max(
-        lq_norm(mesh, signed_power(u, alpha - 1.0), alpha_conj) for u in distinct
-    )
-
-    neg_sq = per_state(lambda u: float(m @ neg_part(u) ** 2))
-    pen_sum = float(ell / kappa * np.sum(neg_sq[1:]))
-    neg_norm = float(np.sqrt(ell * np.sum(neg_sq[1:])))
-    sc2_prime_value = float(np.sqrt(np.max(neg_sq)) / kappa)
-    sc1_value = check_sc1(traj, kappa)
-    sc1_prime_ok, _ = check_sc1_prime(traj)
-
+    neg_sq_steps = np.repeat(neg_sq, counts)[1:]
     return MonitorRecord(
-        est1=est1, est2=est2, est3=est3, est3_1=est3_1, est4=est4,
-        est5_1=est5_1, pen_sum=pen_sum, sc1_value=sc1_value,
-        sc1_prime_ok=bool(sc1_prime_ok), sc2_prime_value=sc2_prime_value,
-        neg_norm=neg_norm,
+        est1=float(np.max(la_pows) ** (1.0 / alpha)),
+        est2=float(ell * np.sum(np.repeat(w1p_pows, counts))),
+        est3=float(ell * est3_sum),
+        est3_1=float(np.sqrt(max(half_sq))),
+        est4=float(np.max(w1p_pows) ** (1.0 / p)),
+        est5_1=max(conj_norms),
+        pen_sum=float(ell / kappa * np.sum(neg_sq_steps)),
+        sc1_value=sc1_sum / kappa,
+        sc1_prime_ok=bool(sc1_prime_ok),
+        sc2_prime_value=float(np.sqrt(np.max(neg_sq)) / kappa),
+        neg_norm=float(np.sqrt(ell * np.sum(neg_sq_steps))),
     )
 
 
@@ -325,8 +293,8 @@ def kappa_sweep(
     MONOTONE_SLACK.
     """
     kappas = [float(k) for k in kappa_list]
-    if any(k <= 0 for k in kappas):
-        raise ValueError("penalty values must be positive")
+    if not all(0 < k < np.inf for k in kappas):
+        raise ValueError("penalty values must be positive and finite")
     if any(b >= a for a, b in zip(kappas, kappas[1:])):
         raise ValueError("penalty values must be strictly decreasing")
 

@@ -56,7 +56,9 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """States u^0..u^N of one run plus everything needed to re-derive them.
+    """States u^0..u^N of one run plus the objects and regularizations that
+    made them; the penalty kappa is not kept, since run and compute_monitors
+    take it as an argument.
 
     states[0] is the initial field; every state vanishes on the boundary.
     """
@@ -66,7 +68,6 @@ class Trajectory:
     time_grid: TimeGrid
     mesh: StructuredMesh
     params: PhysicalParams
-    kappa: float
     delta: float
     eps: float
 
@@ -123,7 +124,7 @@ def run(
     cfg = solver_config or SolverConfig()
     traj = Trajectory(
         states=[params.u0.copy()], step_diagnostics=[], time_grid=time_grid,
-        mesh=mesh, params=params, kappa=kappa, delta=delta, eps=eps,
+        mesh=mesh, params=params, delta=delta, eps=eps,
     )
     # the forcing bytes and result of the previous step, if it repeated its u_prev
     repeat = None

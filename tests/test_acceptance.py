@@ -26,7 +26,6 @@ from shallowice import (
     vi_residual,
 )
 from shallowice.mesh import triangle_gradients
-from shallowice.monitors import check_sc1, check_sc1_prime
 from shallowice.verification import (
     MmsCase,
     brute_force_step_oracle,
@@ -227,12 +226,11 @@ def test_criterion_8_stability_condition(melt_sweep, dome_records):
     mesh, params, grid = melt_setup()
     row = next(r for r in melt_sweep.rows if r.kappa == 1e-4)
     rec = row.record
-    half = run(mesh, params, grid, 5e-5)
-    s_half = check_sc1(half, 5e-5)
-    rel = abs(s_half - rec.sc1_value) / abs(rec.sc1_value)
-    half_ok, _ = check_sc1_prime(half)
-    records, dome_trajs = dome_records
-    zero_sc1 = check_sc1(dome_trajs[(33, 50)], 1e-3)
+    half = compute_monitors(run(mesh, params, grid, 5e-5), 5e-5)
+    rel = abs(half.sc1_value - rec.sc1_value) / abs(rec.sc1_value)
+    half_ok = half.sc1_prime_ok
+    records, _ = dome_records
+    zero_sc1 = records[(33, 50)].sc1_value
     check("8 stability condition sc1",
           rec.sc1_prime_ok and half_ok and np.isfinite(rec.sc1_value)
           and rel < 0.20 and zero_sc1 == 0.0,

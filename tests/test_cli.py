@@ -138,6 +138,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert cli(["run", str(bad)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # JSON, but no object: the message names the whole configuration
+    for document in ("[1, 2]", '"x"'):
+        bad.write_text(document, encoding="utf-8")
+        assert cli(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: the configuration must be a JSON object" in err
 
     cfg = write_config(tmp_path / "p1.json", tmp_path / "out")
     doc = json.loads(cfg.read_text())
@@ -365,6 +371,20 @@ def test_sizes_no_run_can_build_are_config_errors(tmp_path, capsys, command, sec
     assert "Traceback" not in err
     assert not (out / "monitors_recomputed.csv").exists()
     assert command == "monitors" or not out.exists()
+
+
+@pytest.mark.parametrize("length", [1e-200, 1e200])
+def test_a_degenerate_domain_is_a_config_error(tmp_path, capsys, length):
+    # the triangle area underflows to 0 or overflows to inf: unchecked, run
+    # ended in a RuntimeError or OverflowError traceback
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.json", out,
+                       domain={"Lx": length, "Ly": length, "nx": 5, "ny": 5})
+    assert cli(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: domain: the triangle area" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_a_mesh_that_cannot_be_allocated_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -864,22 +884,24 @@ def test_mms_uses_the_config_regularizations(tmp_path):
 
 
 def test_mms_rows_are_labelled_by_the_study(tmp_path):
-    # unsorted lists with a repeated step count: the temporal rows ran on
-    # the finest mesh (9) and the spatial rows at the largest N (4), each
-    # pair once, and integer cells are written as integers
+    # unsorted lists with a repeated step count, or no --steps, which runs
+    # the config's N = 2 and 2N: the temporal rows ran on the finest mesh (9)
+    # and the spatial rows at the largest N (4), each pair once, and integer
+    # cells are written as integers
     cfg = write_config(tmp_path / "mms.json", tmp_path / "mms_out",
                        time={"T": 0.25, "N": 2})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli(["mms", str(cfg), "--meshes", "9,5", "--steps", "4,2,2"]) == 0
-    text = (tmp_path / "mms_out" / "mms.csv").read_text(encoding="utf-8")
-    lines = [l for l in text.splitlines() if not l.startswith("#")]
-    assert lines[0] == "study,nx,N,error"
-    rows = [l.split(",") for l in lines[1:]]
-    assert [r[:3] for r in rows] == [["temporal", "9", "2"], ["temporal", "9", "4"],
-                                     ["spatial", "5", "4"], ["spatial", "9", "4"]]
-    # the 9 x 9 mesh at N = 4 is a row of both studies
-    assert rows[1][3] == rows[3][3]
+    for steps in (["--steps", "4,2,2"], []):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli(["mms", str(cfg), "--meshes", "9,5", *steps]) == 0
+        text = (tmp_path / "mms_out" / "mms.csv").read_text(encoding="utf-8")
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        assert lines[0] == "study,nx,N,error"
+        rows = [l.split(",") for l in lines[1:]]
+        assert [r[:3] for r in rows] == [["temporal", "9", "2"], ["temporal", "9", "4"],
+                                         ["spatial", "5", "4"], ["spatial", "9", "4"]]
+        # the 9 x 9 mesh at N = 4 is a row of both studies
+        assert rows[1][3] == rows[3][3]
 
 
 def test_verify_command(capsys):

@@ -73,6 +73,12 @@ def test_sizes_no_run_can_build():
     with pytest.raises(ValidationError, match="time.N: the step T / N"):
         parse_config(json.dumps(doc))
     assert parse_config(json.dumps(minimal_config(time={"T": 5e-324, "N": 1})))
+    # the triangle area (Lx / (nx - 1)) (Ly / (ny - 1)) / 2 underflows to 0
+    # or overflows to inf
+    for length in (1e-200, 1e200):
+        doc = minimal_config(domain={"Lx": length, "Ly": length, "nx": 5, "ny": 5})
+        with pytest.raises(ValidationError, match="domain: the triangle area"):
+            parse_config(json.dumps(doc))
 
 
 def test_rejects_p_at_most_one():

@@ -80,6 +80,11 @@ def test_rejects_invalid_arguments():
         build_mesh(3, 3, 0.0, 1.0)
     with pytest.raises(ValueError):
         build_mesh(3, 3, 1.0, -2.0)
+    # a triangle area that underflows to 0 or overflows, rejected before
+    # any array is built
+    for length in (1e-200, 1e200):
+        with pytest.raises(ValueError, match="triangle area"):
+            build_mesh(5, 5, length, length)
 
 
 def test_gradient_constant_field(mesh5):

@@ -21,8 +21,6 @@ from shallowice import (
 from shallowice.monitors import (
     SweepResult,
     SweepRow,
-    check_sc1,
-    check_sc1_prime,
     lq_norm,
     w1p_seminorm_pow,
 )
@@ -88,35 +86,46 @@ def test_sc1_zero_for_nonnegative_trajectory(mesh5):
     params = make_params(mesh5, 3.0, ConstantForcing(0.5), H0=H0, mu=0.1)
     traj = run(mesh5, params, TimeGrid(0.5, 4), 1e-3)
     assert min(u.min() for u in traj.states) >= 0.0
-    assert check_sc1(traj, 1e-3) == 0.0
-    ok, idx = check_sc1_prime(traj)
-    assert ok and idx is None
+    rec = compute_monitors(traj, 1e-3)
+    assert rec.sc1_value == 0.0
+    assert rec.sc1_prime_ok is True
 
 
 def test_sc1_prime_detects_shrinking_violation(mesh5):
     params_traj = melt_traj(mesh5)
-    # synthetic trajectory: violation -0.2 then -0.1 at one node
+    # synthetic trajectory: violation -0.2, held for a step, then -0.1 at
+    # one node
     s0 = zero_boundary(mesh5, np.zeros(mesh5.n_nodes))
     s1 = s0.copy()
     s2 = s0.copy()
     inner = np.flatnonzero(mesh5.interior_mask)[0]
     s1[inner] = -0.2
     s2[inner] = -0.1
-    synth = dataclasses.replace(params_traj, states=[s0, s1, s2],
+    synth = dataclasses.replace(params_traj, states=[s0, s1, s1.copy(), s2],
                                 step_diagnostics=[],
-                                time_grid=TimeGrid(1.0, 2))
-    ok, idx = check_sc1_prime(synth)
-    assert not ok
-    assert idx == 1
+                                time_grid=TimeGrid(1.0, 3))
+    assert compute_monitors(synth, 1e-3).sc1_prime_ok is False
+    # the same violation held or deepening is no shrink
+    held = dataclasses.replace(synth, states=[s0, s1, s1.copy(), 2 * s1])
+    assert compute_monitors(held, 1e-3).sc1_prime_ok is True
 
 
 def test_sc1_finite_on_melt_run(mesh9):
     traj = melt_traj(mesh9)
-    val = check_sc1(traj, 1e-3)
-    assert np.isfinite(val)
-    assert val < 0.0  # pure melting: increments against the violation
-    ok, _ = check_sc1_prime(traj)
-    assert ok
+    rec = compute_monitors(traj, 1e-3)
+    assert np.isfinite(rec.sc1_value)
+    assert rec.sc1_value < 0.0  # pure melting: increments against the violation
+    assert rec.sc1_prime_ok is True
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_monitors_reject_a_nonfinite_state(step):
+    # a NaN at the center node of one state: before, est3_1 and est5_1
+    # stayed finite and sc1_prime_ok read True beside NaN sums
+    traj = melt_traj(build_mesh(7, 7, 1.0, 1.0), T=0.2, N=2, rate=-0.5)
+    traj.states[step][24] = np.nan
+    with pytest.raises(ValueError, match=f"step {step} holds a non-finite value"):
+        compute_monitors(traj, 1e-3)
 
 
 def test_vi_residual_certificate(mesh9):
@@ -264,6 +273,11 @@ def test_kappa_sweep_validation(mesh5):
         kappa_sweep(mesh5, params, grid, None, [1e-2, 1e-1])
     with pytest.raises(ValueError):
         kappa_sweep(mesh5, params, grid, None, [1e-2, -1e-3])
+    # rejected before the first row runs: nan failed in the second row's
+    # solve, and inf ran a row with no penalty
+    for kappas in ([1e-2, np.nan], [np.inf, 1e-3]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            kappa_sweep(mesh5, params, grid, None, kappas)
 
 
 def test_monitor_assembly_order_invariance(mesh5):
@@ -293,9 +307,9 @@ def test_monitor_assembly_order_invariance(mesh5):
 
 def test_monitors_compute_each_state_once(monkeypatch, mesh9):
     # the melt run settles: its states from step 29 on repeat their
-    # predecessor.  Each term is computed once per run of equal states, and
-    # the record, sc1_value and est3 included, has the bits of one computed
-    # state by state
+    # predecessor.  One walk takes each term once per run of equal states,
+    # and the record, sc1_value, sc1_prime_ok and est3 included, has the bits
+    # of one computed state by state
     import shallowice.monitors as monitors
 
     traj = melt_traj(mesh9, T=2.0, N=40, rate=-2.0, mu=1.0)
@@ -303,25 +317,23 @@ def test_monitors_compute_each_state_once(monkeypatch, mesh9):
     distinct = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(states, states[1:]))
     assert distinct < len(states)
     calls = []
+    negs = []
 
     def counted(mesh, v, p):
         calls.append(v)
         return w1p_seminorm_pow(mesh, v, p)
 
-    monkeypatch.setattr(monitors, "w1p_seminorm_pow", counted)
-    rec = compute_monitors(traj, 1e-3)
-    assert len(calls) == distinct
-    # check_sc1 takes one negative part per step between distinct states
-    negs = []
-
     def counted_neg(f):
         negs.append(f)
         return neg_part(f)
 
+    monkeypatch.setattr(monitors, "w1p_seminorm_pow", counted)
     monkeypatch.setattr(monitors, "neg_part", counted_neg)
-    assert check_sc1(traj, 1e-3) == rec.sc1_value
-    assert len(negs) == distinct - 1
+    rec = compute_monitors(traj, 1e-3)
+    assert len(calls) == distinct
+    assert len(negs) == distinct
     monkeypatch.setattr(monitors, "state_runs", lambda s: ((u, 1) for u in s))
     by_state = compute_monitors(traj, 1e-3)
     assert len(calls) == distinct + len(states)
+    assert len(negs) == distinct + len(states)
     assert list(map(repr, rec.as_dict().values())) == list(map(repr, by_state.as_dict().values()))
