@@ -76,15 +76,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _number_list(text: str, flag: str, convert, valid, what: str) -> list:
+def _number_list(text: str, flag: str, convert, what: str) -> list:
     """Parse a non-empty comma-separated list of numbers given to a flag."""
     try:
         values = [convert(s) for s in text.split(",") if s.strip()]
     except ValueError:
         values = []
-    if not values or not all(valid(v) for v in values):
+    if not values:
         raise ConfigError(f"{flag} must be a comma-separated list of {what}")
     return values
+
+
+def _study_config(config: dict, flag: str, value, section: str, **fields) -> dict:
+    """config with fields put into one section, checked by the rules of
+    parse_config: a study size given to a flag must make a run config."""
+    try:
+        return parse_config({**config, section: {**config[section], **fields}})
+    except ConfigError as err:
+        raise ConfigError(f"{flag} {value}: {err}") from err
 
 
 def _provenance(config: dict, **extra) -> dict:
@@ -100,8 +109,8 @@ def _write_run_outputs(setup, traj, outdir: Path, meta: dict):
     (state_runs), and one state's text is held at a time: each run's state
     is formatted once, each distinct value once, into the run's states.csv
     rows, then the run's snapshots are written format by format, so the
-    SnapshotText memo builds one text per run and format, and the text is
-    dropped before the next run is formatted.
+    run's FieldText, which keeps the last text it built, builds one text
+    per run and format, and is dropped before the next run is formatted.
     """
     write_run_metadata(meta, outdir / "run_metadata.json")
     text = SnapshotText(setup.mesh, meta)
@@ -152,8 +161,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kappas = _number_list(args.kappas, "--kappas", float,
-                          lambda k: 0 < k < np.inf, "positive numbers")
+    kappas = _number_list(args.kappas, "--kappas", float, "numbers")
+    config = load_config(args.config)
+    # the config of each row's run: the sweep's own, at the row's kappa
+    row_configs = {kappa: _study_config(config, "--kappas", kappa, "penalty", kappa=kappa)
+                   for kappa in kappas}
     if any(b >= a for a, b in zip(kappas, kappas[1:])):
         raise ConfigError("--kappas must be strictly decreasing")
     row_dirs = {kappa: f"kappa_{kappa:g}" for kappa in kappas}
@@ -161,7 +173,6 @@ def _cmd_sweep(args) -> int:
     for kappa, name in row_dirs.items():
         if named.setdefault(name, kappa) != kappa:
             raise ConfigError(f"--kappas {named[name]!r} and {kappa!r} both write {name}")
-    config = load_config(args.config)
     setup = build_setup(config, Path(args.config).parent)
     outdir = Path(setup.output["directory"])
     for name in row_dirs.values():
@@ -177,9 +188,7 @@ def _cmd_sweep(args) -> int:
         if row.error is not None:
             (subdir / "FAILED").write_text(row.error + "\n", encoding="utf-8")
             continue
-        # the config of this row's run: the sweep's own, at the row's kappa
-        penalty = {**config["penalty"], "kappa": row.kappa}
-        meta = _provenance({**config, "penalty": penalty})
+        meta = _provenance(row_configs[row.kappa])
         write_monitors_csv(row.record, subdir / "monitors.csv", metadata=meta)
         for fmt in setup.output["formats"]:
             write_snapshot(row.trajectory.states[-1], setup.mesh,
@@ -197,10 +206,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mms(args) -> int:
-    meshes = _number_list(args.meshes, "--meshes", int, lambda n: n >= 3,
-                          "node counts >= 3")
-    if args.spatial_steps is not None and args.spatial_steps < 1:
-        raise ConfigError("--spatial-steps must be at least 1")
+    meshes = _number_list(args.meshes, "--meshes", int, "integers")
     config = load_config(args.config)
     domain, time, physics = config["domain"], config["time"], config["physics"]
     penalty = config["penalty"]
@@ -208,8 +214,13 @@ def _cmd_mms(args) -> int:
     if args.steps is None:
         steps = [time["N"], 2 * time["N"]]
     else:
-        steps = _number_list(args.steps, "--steps", int, lambda n: n >= 1,
-                             "step counts >= 1")
+        steps = _number_list(args.steps, "--steps", int, "integers")
+    for n in meshes:
+        _study_config(config, "--meshes", n, "domain", nx=n, ny=n)
+    for N in steps:
+        _study_config(config, "--steps", N, "time", N=N)
+    if args.spatial_steps is not None:
+        _study_config(config, "--spatial-steps", args.spatial_steps, "time", N=args.spatial_steps)
     mu = physics["mu"]
     if isinstance(mu, str):
         raise ConfigError("physics.mu: the mms study requires a constant mu")
@@ -228,8 +239,11 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ConfigError("--samples must be at least 1")
+    # the suites hold float arrays of that many samples, whose byte size
+    # numpy cannot index past its intp range
+    most = np.iinfo(np.intp).max // np.dtype(float).itemsize
+    if not 1 <= args.samples <= most:
+        raise ConfigError(f"--samples must be at least 1 and at most {most}")
     failures = 0
 
     report = lemma_inequality_suite(args.samples, seed=0)

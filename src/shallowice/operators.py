@@ -23,9 +23,13 @@ step_energy and step_residual read it.  flux_state and stiffness_vector
 are the one home of that gradient state and of the stiffness action S,
 which the VI certificate of monitors reuses; nodal_terms is the one home
 of the nodal law, the energy density, residual and slope per unit mass,
-and of its eps = 0 fork.  Without its stiffness term the energy is a sum
-of functions of one nodal value each, and nodal_minimizer returns its
-minimizer node by node.  The Jacobian is linearized once per Newton
+and of its eps = 0 fork.  Three more functions fork on eps = 0:
+nodal_minimizer, which pins its start at the closed-form root where the
+right side is nonnegative, and physics.phi_power_reg and dphi_power_reg,
+the reference formulas of phi_eps and its slope, through which the step
+takes phi_eps(uprev) and the nodal slope.  Without its stiffness term the
+energy is a sum of functions of one nodal value each, and
+nodal_minimizer returns its minimizer node by node.  The Jacobian is linearized once per Newton
 iterate from the accepted StepPoint alone, reusing its gradient state and
 nodal slope.  Every triangle is a right triangle with legs along x and
 y, so its element matrix is fixed by three couplings, along the legs and

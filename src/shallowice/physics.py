@@ -57,8 +57,7 @@ def thickness_from_u(u, p: float):
         raise ValueError("u must be nonnegative")
     if p <= 1.0:
         raise ValueError(f"Glen exponent p must exceed 1, got {p}")
-    out = u ** ((p - 1.0) / (2.0 * p))
-    return float(out) if out.ndim == 0 else out
+    return u ** ((p - 1.0) / (2.0 * p))
 
 
 def u_from_thickness(H, p: float):
@@ -68,8 +67,7 @@ def u_from_thickness(H, p: float):
         raise ValueError("H must be nonnegative")
     if p <= 1.0:
         raise ValueError(f"Glen exponent p must exceed 1, got {p}")
-    out = H ** (2.0 * p / (p - 1.0))
-    return float(out) if out.ndim == 0 else out
+    return H ** (2.0 * p / (p - 1.0))
 
 
 def glen_mu(A_const: float, rho_g: float, p: float) -> float:
@@ -89,8 +87,7 @@ def glen_mu(A_const: float, rho_g: float, p: float) -> float:
 def neg_part(f):
     """Negative part {f}^- = (|f| - f)/2 = max(-f, 0), always >= 0."""
     f = np.asarray(f, dtype=float)
-    out = 0.5 * (np.abs(f) - f)
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * (np.abs(f) - f)
 
 
 def signed_power(u, q: float):
@@ -98,8 +95,7 @@ def signed_power(u, q: float):
     if q <= 0:
         raise ValueError(f"exponent must be positive, got {q}")
     u = np.asarray(u, dtype=float)
-    out = np.sign(u) * np.abs(u) ** q
-    return float(out) if out.ndim == 0 else out
+    return np.sign(u) * np.abs(u) ** q
 
 
 def phi_power_reg(u, alpha: float, eps: float):
@@ -112,8 +108,7 @@ def phi_power_reg(u, alpha: float, eps: float):
     if eps == 0.0:
         return signed_power(u, alpha - 1.0)
     u = np.asarray(u, dtype=float)
-    out = (u * u + eps * eps) ** (0.5 * (alpha - 2.0)) * u
-    return float(out) if out.ndim == 0 else out
+    return (u * u + eps * eps) ** (0.5 * (alpha - 2.0)) * u
 
 
 def dphi_power_reg(u, alpha: float, eps: float):
@@ -125,11 +120,9 @@ def dphi_power_reg(u, alpha: float, eps: float):
     """
     u = np.asarray(u, dtype=float)
     if eps == 0.0:
-        out = (alpha - 1.0) * np.abs(u) ** (alpha - 2.0)
-    else:
-        s = u * u + eps * eps
-        out = s ** (0.5 * (alpha - 4.0)) * ((alpha - 1.0) * u * u + eps * eps)
-    return float(out) if out.ndim == 0 else out
+        return (alpha - 1.0) * np.abs(u) ** (alpha - 2.0)
+    s = u * u + eps * eps
+    return s ** (0.5 * (alpha - 4.0)) * ((alpha - 1.0) * u * u + eps * eps)
 
 
 def flux_weight(q: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:

@@ -30,9 +30,9 @@ Repetition costs only what is new, by three rules:
   row of each run, and the monitors compute each term once per run.
 * A repeated file is built once.  A run's outputs are written in one pass
   over its runs of equal states: each run's `states.csv` rows, then its
-  snapshots, format by format.  `SnapshotText.file_text` keeps the last
-  snapshot text it built, so it builds one text per run and format, and
-  one state's text is held at a time.
+  snapshots, format by format.  Each FieldText keeps the last snapshot
+  text it built, so one text is built per run and format, and a state's
+  text is freed with its FieldText.
 """
 
 from __future__ import annotations
@@ -109,8 +109,6 @@ class SnapshotText:
     def __init__(self, mesh: StructuredMesh, metadata: dict | None = None):
         self.mesh = mesh
         self.metadata = metadata
-        # (row, fmt, name, text) of the last snapshot text built
-        self._last = None
 
     def field(self, values) -> FieldText:
         return FieldText(self, values)
@@ -155,19 +153,6 @@ class SnapshotText:
             f"POINT_DATA {mesh.n_nodes}\n"
         )
 
-    def file_text(self, field: FieldText, fmt: str, name: str) -> str:
-        """_file_text of one of this text's fields, of which the last one
-        built is kept: when the files of a run of equal states, which share
-        one FieldText, are written format by format, each format's text is
-        built once, and one text is held at a time."""
-        # keyed on the field's row, which makes the text with this
-        # SnapshotText: holding the field would make a reference cycle,
-        # which keeps both alive after the run until a garbage collection
-        last = self._last
-        if last is None or last[0] is not field.row or last[1:3] != (fmt, name):
-            last = self._last = (field.row, fmt, name, _file_text(field, fmt, name))
-        return last[3]
-
 
 class FieldText:
     """One nodal field bound to a SnapshotText.
@@ -182,6 +167,8 @@ class FieldText:
             raise ValueError(f"field must have {text.mesh.n_nodes} nodal values")
         self.text = text
         self.values = values
+        # (fmt, name, text) of the last snapshot text built
+        self._last = (None, None, None)
 
     def __len__(self) -> int:
         return self.values.size
@@ -189,6 +176,14 @@ class FieldText:
     @cached_property
     def row(self) -> str:
         return ",".join(_fmt_array(self.values))
+
+    def file_text(self, fmt: str, name: str) -> str:
+        """_file_text of this field, of which the last one built is kept:
+        when the files of a run of equal states, which share one FieldText,
+        are written format by format, each format's text is built once."""
+        if self._last[:2] != (fmt, name):
+            self._last = (fmt, name, _file_text(self, fmt, name))
+        return self._last[2]
 
 
 def _file_text(field: FieldText, fmt: str, name: str) -> str:
@@ -222,12 +217,9 @@ def write_snapshot(field, mesh: StructuredMesh, path, fmt: str,
                              "metadata of its SnapshotText")
     else:
         field = SnapshotText(mesh, metadata).field(field)
-    content = field.text.file_text(field, fmt, name)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-    except OSError as err:
-        raise OSError(f"cannot write snapshot {path}: {err}") from err
+    content = field.file_text(fmt, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(content)
 
 
 def read_field_csv(path, mesh: StructuredMesh) -> np.ndarray:

@@ -162,12 +162,9 @@ def inner_linear_solve(action, rhs: np.ndarray, diag: np.ndarray,
     return x
 
 
-def _first_bad_node(*arrays) -> int | None:
-    for arr in arrays:
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            return int(np.argmax(bad))
-    return None
+def _first_bad_node(arr: np.ndarray) -> int | None:
+    bad = ~np.isfinite(arr)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def solve_step(problem: StepProblem, config: SolverConfig | None = None,
@@ -208,9 +205,8 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
     # a NaN residual fails every comparison, so it must enter the loop
     while not res <= cfg.tol_residual:
         if not np.isfinite(res):
-            raise NumericalBreakdown(
-                "non-finite residual", node=_first_bad_node(point.residual, point.u)
-            )
+            raise NumericalBreakdown("non-finite residual",
+                                     node=_first_bad_node(point.residual))
         if iterations >= MAX_NEWTON:
             raise NonConvergence(
                 f"no convergence in {MAX_NEWTON} Newton iterations "
@@ -263,8 +259,8 @@ def solve_step(problem: StepProblem, config: SolverConfig | None = None,
         history.append(res)
         iterations += 1
 
-    if not np.all(np.isfinite(point.u)):
-        raise NumericalBreakdown("non-finite state", node=_first_bad_node(point.u))
+    # the state is finite: a non-finite interior value makes the scaled
+    # residual NaN or inf, and evaluate rejects a nonzero boundary value
     return StepResult(
         u_next=point.u,
         iterations=iterations,

@@ -514,9 +514,22 @@ def test_sweep_rejects_bad_kappas(tmp_path, capsys):
     assert cli(["sweep", str(cfg), "--kappas", "1e-3,9.999999e-4"]) == 2
     assert "--kappas 0.001 and 0.0009999999 both write kappa_0.001" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    for extra in (["--meshes", "9,abc"], ["--meshes", ","], ["--meshes", "2"],
-                  ["--steps", "0"], ["--steps", "x"], ["--spatial-steps", "0"]):
-        assert cli(["mms", str(cfg), *extra]) == 2
+    # study sizes no run config could hold: a mesh whose triangle area
+    # underflows to 0, and step counts past the float range
+    tiny = write_config(tmp_path / "tiny.json", tmp_path / "out",
+                        domain={"Lx": 1e-160, "Ly": 1e-160, "nx": 3, "ny": 3})
+    huge = str(10**400)
+    for config, extra, says in [
+            (cfg, ["--meshes", "9,abc"], "--meshes"), (cfg, ["--meshes", ","], "--meshes"),
+            (cfg, ["--meshes", "2"], "--meshes"), (cfg, ["--steps", "0"], "--steps"),
+            (cfg, ["--steps", "x"], "--steps"), (cfg, ["--spatial-steps", "0"], "--spatial-steps"),
+            (tiny, ["--meshes", "65", "--steps", "1"], "--meshes 65: domain: the triangle area"),
+            (cfg, ["--steps", huge], f"--steps {huge}: time.N"),
+            (cfg, ["--steps", "1", "--spatial-steps", huge], f"--spatial-steps {huge}: time.N")]:
+        assert cli(["mms", str(config), *extra]) == 2
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_monitors_recompute(tmp_path):
@@ -911,6 +924,9 @@ def test_verify_command(capsys):
         assert cli(["verify", "--samples", "20000"]) == 0
     out = capsys.readouterr().out
     assert "all suites passed" in out
-    for samples in ("0", "-5"):
+    # 10**400 is past numpy's index range, which numpy rejects before it
+    # allocates anything
+    for samples in ("0", "-5", str(10**400)):
         assert cli(["verify", "--samples", samples]) == 2
-        assert "--samples must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--samples must be at least 1" in err and "Traceback" not in err

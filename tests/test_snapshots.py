@@ -221,8 +221,8 @@ def test_repeated_values_format_as_repr_of_each(tmp_path):
 def test_snapshot_text_is_built_once_per_run_and_format(tmp_path, mesh3, monkeypatch):
     # the files of a run of equal states (state_runs), which share one
     # FieldText, written one format after the other, build each format's
-    # text once; writing another field or format in between builds
-    # it again, since one text is held at a time
+    # text once; writing another format or name in between builds it
+    # again, since a FieldText keeps only the last text it built
     import shallowice.snapshots as snapshots
 
     builds = []
