@@ -92,10 +92,9 @@ class _Section:
     """Helper walking one JSON object with strict key checking."""
 
     def __init__(self, name: str, raw: dict):
+        # a named section passed require/optional(name, dict) already
         if not isinstance(raw, dict):
-            if not name:
-                raise ConfigError("the configuration must be a JSON object")
-            raise ValidationError(name, "must be a JSON object")
+            raise ConfigError("the configuration must be a JSON object")
         self.name = name
         self.raw = raw
         self.seen = set()
@@ -325,8 +324,19 @@ def _read_named_file(fieldname: str, path: Path, reader, *args):
         raise ValidationError(fieldname, f"malformed {path}: {err}") from err
 
 
+def _data_rows(path: Path) -> list[str]:
+    """The data lines (_data_lines) of a file a config names; none is an error."""
+    with open(path, encoding="utf-8") as fh:
+        rows = list(_data_lines(fh))
+    # checked here, since loadtxt only warns on a file without data rows
+    if not rows:
+        raise ValueError("no data rows")
+    return rows
+
+
 def _read_mu(path: Path, mesh: StructuredMesh) -> np.ndarray:
-    mu = np.loadtxt(path, comments="#")
+    """The per-triangle mu: one value per data line."""
+    mu = np.loadtxt(_data_rows(path))
     if mu.shape != (mesh.n_triangles,):
         raise ValueError(f"needs {mesh.n_triangles} per-triangle values, got {mu.shape}")
     if not np.all(np.isfinite(mu) & (mu > 0)):
@@ -335,14 +345,9 @@ def _read_mu(path: Path, mesh: StructuredMesh) -> np.ndarray:
 
 
 def _read_gridded(path: Path, mesh: StructuredMesh, T: float):
-    """The series of a gridded forcing: data lines (_data_lines) of a time
-    and the nodal values, comma-separated."""
-    with open(path, encoding="utf-8") as fh:
-        rows = list(_data_lines(fh))
-    # checked here, since loadtxt only warns on a file without data rows
-    if not rows:
-        raise ValueError("no data rows")
-    table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    """The series of a gridded forcing: data lines of a time and the nodal
+    values, comma-separated."""
+    table = np.loadtxt(_data_rows(path), delimiter=",", ndmin=2)
     forcing = forcing_mod.GriddedForcing(table[:, 0], table[:, 1:])
     if forcing.values.shape[1] != mesh.n_nodes:
         raise ValueError(f"needs {mesh.n_nodes} nodal values after the time")

@@ -146,9 +146,6 @@ class CallableForcing:
     def __init__(self, fn):
         self.fn = fn
 
-    def evaluate(self, mesh, t):
-        return np.asarray(self.fn(t, mesh), dtype=float)
-
     def slab_average(self, mesh, t0, t1):
-        return _gauss2_average(lambda t: self.evaluate(mesh, t), t0, t1)
+        return _gauss2_average(lambda t: self.fn(t, mesh), t0, t1)
 

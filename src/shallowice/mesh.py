@@ -80,10 +80,11 @@ class StructuredMesh:
         self.triangles[1::2] = ll + [0, nx + 1, nx]
 
         xs, ys = self.nodes[self.triangles].transpose(2, 0, 1)  # (ntri, 3) each
+        # the second product has a zero factor on both triangles of a cell,
+        # so this is the product of the cell's two spacings, positive by
+        # the area check above
         twice_area = ((xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
                       - (ys[:, 1] - ys[:, 0]) * (xs[:, 2] - xs[:, 0]))
-        if np.any(twice_area <= 0):
-            raise RuntimeError("triangulation produced a non-positive triangle area")
         self.areas = 0.5 * twice_area
         # grad of hat l: ((y_j - y_k), (x_k - x_j)) / (2A), (l, j, k) cyclic
         j, k = [1, 2, 0], [2, 0, 1]

@@ -153,10 +153,11 @@ class PhysicalParams:
     """Physical configuration of a run.
 
     mu is stored per triangle, whether given or derived by make_params from
-    the Glen law; its bounds mu1 = min mu and mu2 = max mu are derived from
-    it, like alpha from p, and follow any replacement of mu.  u0 is the
-    initial transformed-thickness field and must be nonnegative with zero
-    boundary values.
+    the Glen law.  Every value must be finite and positive, the paper's
+    0 < mu1 <= mu <= mu2 < inf, and the check runs again on any
+    replacement of mu.  alpha is derived from p.  u0 is the initial
+    transformed-thickness field and must be nonnegative with zero boundary
+    values.
     """
 
     p: float
@@ -164,22 +165,18 @@ class PhysicalParams:
     forcing: object
     u0: np.ndarray
     alpha: float = field(init=False)
-    mu1: float = field(init=False)
-    mu2: float = field(init=False)
 
     def __post_init__(self):
         self.p = float(self.p)
         self.alpha = alpha_of(self.p)
-        self.mu1 = float(np.min(self.mu))
-        self.mu2 = float(np.max(self.mu))
         if not P_RANGE[0] <= self.p <= P_RANGE[1]:
             warnings.warn(
                 f"Glen exponent p = {self.p} outside the suggested range {P_RANGE}",
                 PhysicalRangeWarning,
                 stacklevel=3,
             )
-        if not (0.0 < self.mu1 <= self.mu2):
-            raise ValueError(f"need 0 < mu1 <= mu2, got ({self.mu1}, {self.mu2})")
+        if not np.all(np.isfinite(self.mu) & (self.mu > 0)):
+            raise ValueError("every mu must be finite and positive")
 
 
 def make_params(

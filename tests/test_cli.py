@@ -181,6 +181,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     lines = (tmp_path / "twocell.csv").read_text(encoding="utf-8").splitlines()
     lines[9] = lines[9].rsplit(",", 1)[0]
     (tmp_path / "twocell.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # a mu file without data lines, where loadtxt would only warn
+    (tmp_path / "mu_empty.txt").write_text("", encoding="utf-8")
+    (tmp_path / "mu_comments.txt").write_text("# mu\n  \n", encoding="utf-8")
+    # a series of one sample, and one whose times decrease
+    np.savetxt(tmp_path / "once.csv", np.zeros((1, 50)), delimiter=",")
+    np.savetxt(tmp_path / "backwards.csv",
+               np.column_stack([[0.3, 0.0], np.zeros((2, 49))]), delimiter=",")
     cases = [
         ("initial.csv", {"initial": {"csv": "short.csv"}}),
         ("initial.csv", {"initial": {"csv": "novalue.csv"}}),
@@ -195,13 +202,29 @@ def test_config_error_exit_code(tmp_path, capsys):
         ("initial.csv", {"initial": {"csv": "elsewhere.csv"}}),
         ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "nan.csv"}}),
         ("initial.csv", {"initial": {"csv": "twocell.csv"}}),
+        ("physics.mu", {"physics": {"p": 3.0, "rho_g": 3.0, "A_const": 1.0,
+                                    "mu": "mu_empty.txt"}}),
+        ("physics.mu", {"physics": {"p": 3.0, "rho_g": 3.0, "A_const": 1.0,
+                                    "mu": "mu_comments.txt"}}),
+        ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "once.csv"}}),
+        ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "backwards.csv"}}),
     ]
-    for fieldname, override in cases:
-        cfg = write_config(tmp_path / "files.json", tmp_path / "out", **override)
-        assert cli(["run", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert f"configuration error: {fieldname}: malformed" in err
-        assert "Traceback" not in err
+    # and a file that does not exist cannot be read
+    absent = [
+        ("physics.mu", {"physics": {"p": 3.0, "rho_g": 3.0, "A_const": 1.0,
+                                    "mu": "absent.txt"}}),
+        ("forcing.csv", {"forcing": {"preset": "gridded", "csv": "absent.csv"}}),
+        ("initial.csv", {"initial": {"csv": "absent.csv"}}),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for error, group in (("malformed", cases), ("cannot read", absent)):
+            for fieldname, override in group:
+                cfg = write_config(tmp_path / "files.json", tmp_path / "out", **override)
+                assert cli(["run", str(cfg)]) == 2
+                err = capsys.readouterr().err
+                assert f"configuration error: {fieldname}: {error} {tmp_path}" in err
+                assert "Traceback" not in err
 
     # a gridded forcing sampled on [0, 0.1] does not cover the run [0, 0.3]
     np.savetxt(tmp_path / "early.csv",

@@ -134,7 +134,7 @@ def test_build_setup_materializes(tmp_path):
     assert setup.mesh.n_nodes == 25
     assert setup.time_grid.N == 4
     # mu derived from the Glen law: base rho_g (p-1)/(2p) = 1 here
-    assert setup.params.mu1 == pytest.approx(0.5, rel=1e-15)
+    assert setup.params.mu[0] == pytest.approx(0.5, rel=1e-15)
     # initial thickness converted through the power transform
     H0 = initial_thickness_field("dome", 1.0, setup.mesh)
     assert np.allclose(setup.params.u0, u_from_thickness(H0, 3.0), rtol=1e-14)

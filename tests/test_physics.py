@@ -167,6 +167,16 @@ def test_params_validation(mesh3):
         make_params(mesh3, 3.0, ConstantForcing(0.0), u0=bad, mu=1.0)
     with pytest.raises(ValueError):
         make_params(mesh3, 3.0, ConstantForcing(0.0), u0=np.zeros(n), mu=-1.0)
+    # every mu must be finite: one infinite or NaN value is rejected
+    for value in (np.inf, np.nan):
+        mu = np.ones(mesh3.n_triangles)
+        mu[3] = value
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_params(mesh3, 3.0, ConstantForcing(0.0), u0=np.zeros(n), mu=mu)
+    # exactly one of u0 and H0
+    for start in ({}, {"u0": np.zeros(n), "H0": np.zeros(n)}):
+        with pytest.raises(ValueError, match="exactly one"):
+            make_params(mesh3, 3.0, ConstantForcing(0.0), mu=1.0, **start)
     with pytest.warns(UserWarning, match="identically zero"):
         make_params(mesh3, 3.0, ConstantForcing(0.0), u0=np.zeros(n), mu=1.0)
 
@@ -177,15 +187,13 @@ def test_params_alpha_and_mu_bounds(mesh3):
     mu = np.linspace(0.5, 1.5, mesh3.n_triangles)
     params = make_params(mesh3, 3.0, ConstantForcing(0.0), u0=u0, mu=mu)
     assert params.alpha == (3 * 3.0 - 1) / (2 * 3.0)
-    assert params.mu1 == 0.5
-    assert params.mu2 == 1.5
-    # the bounds are derived from mu, so they follow a replaced mu
-    doubled = dataclasses.replace(params, mu=2 * params.mu)
-    assert (doubled.mu1, doubled.mu2) == (1.0, 3.0)
+    # 0 < mu is checked again on a replaced mu
+    with pytest.raises(ValueError, match="finite and positive"):
+        dataclasses.replace(params, mu=-params.mu)
     # derived Glen coefficient when mu is omitted
     derived = make_params(mesh3, 3.0, ConstantForcing(0.0), u0=u0,
                           rho_g=3.0, A_const=1.0)
-    assert derived.mu1 == pytest.approx(0.5, rel=1e-15)
+    assert derived.mu[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_signed_power_half_identity():

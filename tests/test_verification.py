@@ -45,10 +45,12 @@ def test_mms_forcing_center_is_pure_time_term():
     assert got == pytest.approx(expected, rel=1e-13)
 
 
-def test_mms_forcing_against_fd_oracle():
-    # finite differences of the closed-form field, evaluated independently
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_mms_forcing_against_fd_oracle(p):
+    # finite differences of the closed-form field, evaluated independently;
+    # p = 2 takes the linear-flux branch
     case = MmsCase(amp=1.3, g0=1.0, g1=0.7)
-    p, mu = 3.0, 0.8
+    mu = 0.8
     alpha = (3 * p - 1) / (2 * p)
     t0, x0, y0 = 0.45, 0.31, 0.62
 
@@ -161,11 +163,13 @@ def test_oracle_matches_solver_on_random_problems():
         ny = int(rng.integers(3, 6))
         mesh = build_mesh(nx, ny, 1.0, 1.0)
         p = [2.0, 2.8, 3.0, 5.0][i % 4]
-        prob = make_problem(mesh, p=p, kappa=[1e-1, 1e-3][i % 2],
-                            ell=[1e-2, 1.0][(i // 2) % 2], seed=100 + i)
-        expected = brute_force_step_oracle(prob)
-        got = solve_step(prob, cfg).u_next
-        assert np.max(np.abs(expected - got)) <= 10 * cfg.tol_residual
+        # eps = 0 compares the oracle's unregularized time law too
+        for eps in (1e-10, 0.0):
+            prob = make_problem(mesh, p=p, kappa=[1e-1, 1e-3][i % 2],
+                                ell=[1e-2, 1.0][(i // 2) % 2], eps=eps, seed=100 + i)
+            expected = brute_force_step_oracle(prob)
+            got = solve_step(prob, cfg).u_next
+            assert np.max(np.abs(expected - got)) <= 10 * cfg.tol_residual
 
 
 def test_lemma_edge_cases():
